@@ -54,7 +54,7 @@
 use crate::faults::{FaultInjector, FaultSpec};
 use crate::repo_client::RepositoryClient;
 use crate::report::{FleetReport, SharedRepoSnapshot, TenantOutcome};
-use crate::scenario::Scenario;
+use crate::scenario::{EpochWindow, Scenario};
 use crate::shared_repo::{SharedRepoConfig, SharedSignatureRepository};
 use crate::snapshot::SnapshotError;
 use crate::tenant_view::TenantRepoView;
@@ -269,7 +269,7 @@ impl FleetEngine {
         let epochs = windows.iter().map(|w| w.end).max().unwrap_or(0);
         let shared_view = (self.config.sharing == SharingMode::Shared).then_some(&shared);
         let mut runs: Vec<TenantRun> = (0..self.scenario.tenants.len())
-            .map(|index| self.build_run(index, shared_view, origin_secs))
+            .map(|index| self.build_run(index, windows[index], shared_view, origin_secs))
             .collect();
         if let Some(tamper) = tamper {
             tamper(&mut runs);
@@ -277,12 +277,12 @@ impl FleetEngine {
 
         // The crash-recovery respawn hook: rebuilds tenant `index` from
         // scratch, reading through `repo` (the recovery replay clone).
-        // Deterministic — the same spec, seed and clock offset as the
-        // original build above — so replaying the same epochs reproduces the
-        // pre-crash state bit for bit.
+        // Deterministic — the same spec, seed, tenancy window and clock
+        // offset as the original build above — so replaying the same epochs
+        // reproduces the pre-crash state bit for bit.
         let respawn_closure = |index: usize, repo: Arc<SharedSignatureRepository>| -> TenantRun {
             let replay: Arc<dyn RepositoryClient> = repo;
-            self.build_run(index, Some(&replay), origin_secs)
+            self.build_run(index, windows[index], Some(&replay), origin_secs)
         };
         let respawn: Option<&RespawnFn<'_>> = match self.config.sharing {
             SharingMode::Shared => Some(&respawn_closure),
@@ -341,14 +341,17 @@ impl FleetEngine {
     /// tenant against a private replay repository); everything here is a
     /// pure function of the scenario and `origin_secs`, so a rebuilt tenant
     /// replayed over the same epochs is bit-identical to the original.
-    pub(crate) fn build_run(
+    /// `window` must be the tenant's entry of [`Scenario::epoch_windows`]:
+    /// computing that vector is a pass over every tenant, so the caller does
+    /// it once per run instead of this function doing it once per tenant.
+    fn build_run(
         &self,
         index: usize,
+        window: EpochWindow,
         shared: Option<&Arc<dyn RepositoryClient>>,
         origin_secs: f64,
     ) -> TenantRun {
         let epoch_secs = self.scenario.epoch.as_secs();
-        let window = self.scenario.epoch_windows()[index];
         let spec = &self.scenario.tenants[index];
         let engine = crate::engine::SimulationEngine::new(spec.run_config(self.scenario.tick));
         let namespace = spec.namespace();
@@ -518,13 +521,159 @@ use dejavu_cloud::ProvisioningController;
 mod tests {
     use super::*;
     use crate::scenario::ScenarioBuilder;
+    use crate::transport::REPORT_BATCH_CAP;
     use dejavu_simcore::SimDuration;
+    use std::time::Duration;
 
     fn tiny_scenario(n: usize) -> Scenario {
         ScenarioBuilder::new("tiny", 11, 2)
             .tick(SimDuration::from_secs(600.0))
             .diurnal_fleet(n)
             .build()
+    }
+
+    /// Far beyond what any fleet below takes, far below a CI job's limit.
+    const WATCHDOG: Duration = Duration::from_secs(120);
+
+    /// Runs `body` on a thread of its own and fails the test — instead of
+    /// hanging it — if no result arrives within `limit`: the liveness check
+    /// for the batched report path, where a withheld report is a fleet that
+    /// never finishes. A thread that did hang is left behind; the failing
+    /// test process ends it.
+    fn within<T: Send + 'static>(
+        limit: Duration,
+        label: String,
+        body: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = tx.send(body());
+        });
+        let result = rx.recv_timeout(limit).unwrap_or_else(|e| {
+            panic!("{label}: no result within {limit:?} ({e}): the run stalled or panicked")
+        });
+        runner.join().expect("the runner already sent its result");
+        result
+    }
+
+    /// The fields a `staleness = 0` run must share with the barrier, bit
+    /// for bit.
+    fn assert_matches_barrier(bsp: &FleetReport, other: &FleetReport, label: &str) {
+        assert_eq!(other.hit_rate_curve, bsp.hit_rate_curve, "{label}");
+        for (a, b) in bsp.tenants.iter().zip(&other.tenants) {
+            assert_eq!(a.dejavu.total_cost, b.dejavu.total_cost, "{label}");
+            assert_eq!(
+                a.dejavu.latency_ms.values(),
+                b.dejavu.latency_ms.values(),
+                "{label}"
+            );
+            assert_eq!(a.stats.tunings, b.stats.tunings, "{label}");
+            assert_eq!(a.cross_tenant_hits, b.cross_tenant_hits, "{label}");
+            assert_eq!(a.joined_epoch, b.joined_epoch, "{label}");
+            assert_eq!(a.active_epochs, b.active_epochs, "{label}");
+        }
+        let (ra, rb) = (bsp.shared_repo.as_ref(), other.shared_repo.as_ref());
+        assert_eq!(ra.map(|r| &r.stats), rb.map(|r| &r.stats), "{label}");
+    }
+
+    #[test]
+    fn batched_reports_keep_the_pool_live_and_in_order_around_the_flush_cap() {
+        // Fleets one below, at and one above the report-batch cap, so a
+        // worker's buffer ends a run partly filled, exactly full and just
+        // flushed; one worker (every report through one buffer) and two;
+        // K = 0 (every tenant parks after every epoch) and K = 2 (workers
+        // run tenants ahead); the adaptive gate on and off. Each run must
+        // finish, and the K = 0 ones must match the barrier bit for bit.
+        for tenants in [REPORT_BATCH_CAP - 1, REPORT_BATCH_CAP, REPORT_BATCH_CAP + 1] {
+            let mut scenario = crate::scenario::standard_fleet(tenants, 1, 11);
+            scenario.tick = SimDuration::from_secs(600.0);
+            let bsp = FleetEngine::new(scenario.clone(), FleetConfig::default()).run();
+            for threads in [1, 2] {
+                for staleness in [0, 2] {
+                    for adaptive in [false, true] {
+                        let transport = TransportConfig::WorkStealing {
+                            threads,
+                            staleness,
+                            adaptive,
+                        };
+                        let label = format!("{tenants} tenants {transport:?}");
+                        let engine = FleetEngine::new(
+                            scenario.clone(),
+                            FleetConfig {
+                                transport,
+                                ..Default::default()
+                            },
+                        );
+                        let report = within(WATCHDOG, label.clone(), move || engine.run());
+                        assert_eq!(report.tenants_failed(), 0, "{label}");
+                        assert_eq!(report.hit_rate_curve.len(), bsp.epochs, "{label}");
+                        assert!(
+                            report.transport.view_staleness.max() <= staleness,
+                            "{label}"
+                        );
+                        assert_eq!(
+                            report.transport.view_staleness.total(),
+                            bsp.transport.view_staleness.total(),
+                            "{label}: one observation per tenant-epoch"
+                        );
+                        if staleness == 0 {
+                            assert_matches_barrier(&bsp, &report, &label);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crash_recovery_rebuilds_a_churned_tenant_inside_its_own_window() {
+        // Tenant 2 joins at hour 6 and leaves at hour 30 of a two-day fleet.
+        // `build_run` trusts the window it is handed, so the respawn path
+        // must hand it the same one as the original build: a rebuilt tenant
+        // with another start would replay against the wrong clock offset,
+        // one with another stop would step a different number of epochs.
+        let scenario = ScenarioBuilder::new("churn-crash", 5, 2)
+            .tick(SimDuration::from_secs(600.0))
+            .diurnal_fleet(4)
+            .arrive_at(2, SimDuration::from_hours(6.0))
+            .depart_at(2, SimDuration::from_hours(30.0))
+            .build();
+        let window = scenario.epoch_windows()[2];
+        assert_eq!((window.start, window.stop, window.end), (6, Some(30), 30));
+        // A crash-only plan that crashes the churned tenant after it has
+        // history to replay.
+        let faults = (0..)
+            .map(|seed| FaultSpec::with_kinds(seed, &[crate::faults::FaultKind::TenantCrash]))
+            .find(|spec| {
+                spec.plan()
+                    .crash_epoch(2, window.start, window.end)
+                    .is_some_and(|epoch| epoch > window.start + 2)
+            })
+            .expect("some seed crashes tenant 2 mid-window");
+        let bsp = FleetEngine::new(scenario.clone(), FleetConfig::default()).run();
+        let crashed = FleetEngine::new(
+            scenario,
+            FleetConfig {
+                transport: TransportConfig::WorkStealing {
+                    threads: 2,
+                    staleness: 0,
+                    adaptive: false,
+                },
+                faults: Some(faults),
+                ..Default::default()
+            },
+        )
+        .run();
+        let summary = crashed.faults.as_ref().expect("a fault summary");
+        assert!(summary.tenants_crashed >= 1 && summary.replayed_epochs > 2);
+        let t = &crashed.tenants[2];
+        assert_eq!((t.joined_epoch, t.active_epochs), (6, 24));
+        assert_eq!(
+            t.dejavu.load.len(),
+            24 * 6,
+            "stepped to its stop, no further"
+        );
+        assert_matches_barrier(&bsp, &crashed, "crash-recovered churn fleet");
     }
 
     #[test]
@@ -631,19 +780,30 @@ mod tests {
             .join()
             .unwrap_err();
         };
-        for transport in [
-            TransportConfig::Bsp,
-            TransportConfig::BoundedStaleness { staleness: 1 },
-            TransportConfig::WorkStealing {
-                threads: 2,
-                staleness: 0,
-                adaptive: false,
-            },
+        // The larger fleet exceeds the pool's report-batch cap, and with
+        // `staleness = 2` the poisoned tenant runs ahead of the committer: its
+        // abort notice can reach the committer before earlier reports of its
+        // own that another worker still buffers.
+        let steal = |staleness| TransportConfig::WorkStealing {
+            threads: 2,
+            staleness,
+            adaptive: false,
+        };
+        for (tenants, transport) in [
+            (3, TransportConfig::Bsp),
+            (3, TransportConfig::BoundedStaleness { staleness: 1 }),
+            (3, steal(0)),
+            (REPORT_BATCH_CAP + 3, steal(0)),
+            (REPORT_BATCH_CAP + 3, steal(2)),
         ] {
-            let engine = FleetEngine::new(tiny_scenario(3), FleetConfig::default());
+            let engine = FleetEngine::new(tiny_scenario(tenants), FleetConfig::default());
             let shared = Arc::new(SharedSignatureRepository::new(engine.config().repo.clone()));
-            let report = engine.run_tampered(shared, transport.backend().as_ref(), &poison);
-            let label = format!("{transport:?}");
+            let report = within(
+                WATCHDOG,
+                format!("{tenants} tenants {transport:?}"),
+                move || engine.run_tampered(shared, transport.backend().as_ref(), &poison),
+            );
+            let label = format!("{tenants} tenants {transport:?}");
             assert_eq!(report.tenants_failed(), 1, "{label}");
             assert!(
                 report.tenants[1].failed_epoch.is_some(),
@@ -809,12 +969,7 @@ mod tests {
         )
         .run();
         assert_eq!(async0.transport.name, "async(staleness=0)");
-        assert_eq!(async0.hit_rate_curve, bsp.hit_rate_curve);
-        for (a, b) in bsp.tenants.iter().zip(&async0.tenants) {
-            assert_eq!(a.dejavu.total_cost, b.dejavu.total_cost);
-            assert_eq!(a.stats.tunings, b.stats.tunings);
-            assert_eq!(a.cross_tenant_hits, b.cross_tenant_hits);
-        }
+        assert_matches_barrier(&bsp, &async0, "async0");
         assert_eq!(async0.transport.view_staleness.max(), 0);
     }
 
@@ -838,21 +993,7 @@ mod tests {
                 steal.transport.name,
                 format!("steal(threads={threads},staleness=0)")
             );
-            assert_eq!(
-                steal.hit_rate_curve, bsp.hit_rate_curve,
-                "{threads} threads"
-            );
-            for (a, b) in bsp.tenants.iter().zip(&steal.tenants) {
-                assert_eq!(
-                    a.dejavu.total_cost, b.dejavu.total_cost,
-                    "{threads} threads"
-                );
-                assert_eq!(a.stats.tunings, b.stats.tunings, "{threads} threads");
-                assert_eq!(
-                    a.cross_tenant_hits, b.cross_tenant_hits,
-                    "{threads} threads"
-                );
-            }
+            assert_matches_barrier(&bsp, &steal, &format!("{threads} threads"));
             assert_eq!(steal.transport.view_staleness.max(), 0);
         }
     }

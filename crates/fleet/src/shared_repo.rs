@@ -1836,8 +1836,9 @@ impl SharedSignatureRepository {
     /// eviction itself is a no-op without a TTL.
     ///
     /// This sweep is the only place stale entries leave the store: the read
-    /// path treats them as misses but does not evict, so it can run under the
-    /// shard read lock.
+    /// path treats them as misses but does not evict, which is what lets it
+    /// stay wait-free — it reads each shard's published snapshot and never
+    /// takes the shard lock.
     pub fn evict_stale(&self, now: SimTime) -> u64 {
         self.advance_clock(now);
         let Some(ttl) = self.config.ttl else { return 0 };

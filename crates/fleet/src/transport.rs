@@ -43,10 +43,15 @@
 //! without weakening any bound a tenant can observe.
 //!
 //! Epoch reports travel over the vendored mini mpsc channel
-//! (`crossbeam-channel`), so swapping in a real channel or a tokio runtime
-//! later is a transport-local change. New consistency models (e.g. quorum
-//! commits) are one [`CommitTransport`] impl away — the engine only prepares
-//! tenants and consumes the [`TransportOutcome`].
+//! (`crossbeam-channel`) in **batches**: a pool worker sends what it finished
+//! since its last message when its deque runs dry, a tenant thread sends one
+//! report at a time, and the committer unpacks either the same way. Commit
+//! order depends on report contents and tenant order, never on arrival
+//! order, so the grouping is invisible in the results. Swapping in a real
+//! channel or a tokio runtime later is a transport-local change. New
+//! consistency models (e.g. quorum commits) are one [`CommitTransport`] impl
+//! away — the engine only prepares tenants and consumes the
+//! [`TransportOutcome`].
 
 use crate::durable::DurableCheckpointStore;
 use crate::engine::{RunState, SimulationEngine};
@@ -1117,27 +1122,38 @@ impl ShardFrontiers {
 /// sleeps if the generation is still unchanged, so a task injected after an
 /// empty scan can never be missed: either the scan saw it, or the ring bumps
 /// the generation and the sleep returns immediately.
+///
+/// The generation is an atomic, so the once-per-round snapshot costs a load;
+/// the mutex exists for the sleep path only. A ring bumps the generation
+/// **under** that mutex, so the bump cannot fall between a sleeper's last
+/// check and its wait. The `Release` bump pairs with the `Acquire` loads: a
+/// worker that reads the new generation also sees whatever the ringer
+/// queued before ringing.
 #[derive(Default)]
 struct Doorbell {
-    generation: Mutex<u64>,
+    generation: AtomicU64,
+    sleepers: Mutex<()>,
     bell: Condvar,
 }
 
 impl Doorbell {
     fn generation(&self) -> u64 {
-        *self.generation.lock().expect("doorbell poisoned")
+        self.generation.load(Ordering::Acquire)
     }
 
     fn ring(&self) {
-        *self.generation.lock().expect("doorbell poisoned") += 1;
+        {
+            let _sleepers = self.sleepers.lock().expect("doorbell poisoned");
+            self.generation.fetch_add(1, Ordering::Release);
+        }
         self.bell.notify_all();
     }
 
     /// Sleeps until the generation moves past `seen`.
     fn wait_beyond(&self, seen: u64) {
-        let mut generation = self.generation.lock().expect("doorbell poisoned");
-        while *generation == seen {
-            generation = self.bell.wait(generation).expect("doorbell poisoned");
+        let mut sleepers = self.sleepers.lock().expect("doorbell poisoned");
+        while self.generation.load(Ordering::Acquire) == seen {
+            sleepers = self.bell.wait(sleepers).expect("doorbell poisoned");
         }
     }
 }
@@ -1263,11 +1279,32 @@ struct EpochReport {
     aborted: bool,
 }
 
+/// What travels over the report channel: the reports a sender finished since
+/// its last message, in the order it finished them. The committer's results
+/// depend on report contents and tenant order, never on arrival order, so
+/// how reports are grouped into messages cannot change a committed byte —
+/// which is what lets a pool worker send many reports for one wake-up of
+/// the committer. Receivers unpack a batch report by report.
+type ReportBatch = Vec<EpochReport>;
+
+/// Sends one batch, counting it. `false` means the committer is gone.
+fn send_batch(
+    tx: &crossbeam_channel::Sender<ReportBatch>,
+    recorder: &Recorder,
+    batch: ReportBatch,
+) -> bool {
+    recorder.with(|m| m.report_batches.inc());
+    tx.send(batch).is_ok()
+}
+
 /// Sends an `aborted` report if a tenant thread unwinds before completing its
 /// window, so the committer learns about the death instead of deadlocking on
-/// the missing epoch reports; `disarm` marks a clean exit.
+/// the missing epoch reports; `disarm` marks a clean exit. The notice is a
+/// message of its own, so it can overtake earlier reports of the same tenant
+/// still buffered by another pool worker; admission tolerates that (dedup by
+/// `(tenant, epoch)`, expectations adjusted from the abort epoch on).
 struct AbortOnDrop<'a> {
-    tx: &'a crossbeam_channel::Sender<EpochReport>,
+    tx: &'a crossbeam_channel::Sender<ReportBatch>,
     tenant: usize,
     /// The epoch the tenant was in when it unwound — the committer stops
     /// expecting reports from this epoch onwards.
@@ -1286,7 +1323,7 @@ impl Drop for AbortOnDrop<'_> {
         if self.armed {
             // A failed send means the committer is already gone; nothing to
             // notify.
-            let _ = self.tx.send(EpochReport {
+            let _ = self.tx.send(vec![EpochReport {
                 tenant: self.tenant,
                 epoch: self.epoch,
                 staleness: 0,
@@ -1295,7 +1332,7 @@ impl Drop for AbortOnDrop<'_> {
                 misses: 0,
                 last: true,
                 aborted: true,
-            });
+            }]);
         }
     }
 }
@@ -1316,9 +1353,11 @@ enum Held {
 /// deliveries (drops become retransmissions — the paper-world "resend on
 /// commit timeout" — so no information is ever truly lost); duplicated
 /// reports are delivered twice. The committer's idempotent admission makes
-/// all three shuffles invisible in the committed results.
+/// all three shuffles invisible in the committed results. A received batch
+/// is unpacked report by report, each one a delivery of its own: countdowns
+/// age exactly as they would under one message per report.
 struct FaultyInbox<'a> {
-    rx: &'a crossbeam_channel::Receiver<EpochReport>,
+    rx: &'a crossbeam_channel::Receiver<ReportBatch>,
     injector: FaultInjector,
     tallies: &'a FaultTallies,
     recorder: &'a Recorder,
@@ -1331,7 +1370,7 @@ struct FaultyInbox<'a> {
 
 impl<'a> FaultyInbox<'a> {
     fn new(
-        rx: &'a crossbeam_channel::Receiver<EpochReport>,
+        rx: &'a crossbeam_channel::Receiver<ReportBatch>,
         injector: FaultInjector,
         tallies: &'a FaultTallies,
         recorder: &'a Recorder,
@@ -1421,14 +1460,23 @@ impl<'a> FaultyInbox<'a> {
         self.release(held, report);
     }
 
-    fn recv(&mut self) -> Option<EpochReport> {
+    fn admit_batch(&mut self, batch: ReportBatch) {
+        for report in batch {
+            self.admit(report);
+        }
+    }
+
+    /// The next report for the committer. With `block` unset, only what has
+    /// already been delivered: held reports keep their countdowns and the
+    /// liveness valve stays shut, both being the blocking path's business.
+    fn next(&mut self, block: bool) -> Option<EpochReport> {
         use crossbeam_channel::TryRecvError;
         loop {
             if let Some(report) = self.due.pop_front() {
                 return Some(report);
             }
             if self.disconnected {
-                if self.delayed.is_empty() {
+                if !block || self.delayed.is_empty() {
                     return None;
                 }
                 // Every sender is gone: flush the held tail in
@@ -1441,11 +1489,12 @@ impl<'a> FaultyInbox<'a> {
                 continue;
             }
             match self.rx.try_recv() {
-                Ok(report) => self.admit(report),
+                Ok(batch) => self.admit_batch(batch),
+                Err(TryRecvError::Empty) if !block => return None,
                 Err(TryRecvError::Empty) => {
                     if self.delayed.is_empty() {
                         match self.rx.recv() {
-                            Ok(report) => self.admit(report),
+                            Ok(batch) => self.admit_batch(batch),
                             Err(_) => self.disconnected = true,
                         }
                     } else {
@@ -1461,18 +1510,55 @@ impl<'a> FaultyInbox<'a> {
     }
 }
 
-/// The committer's report source: the raw channel, or the fault-injecting
-/// wrapper.
+/// The committer's report source: the raw channel (with the rest of the
+/// batch being unpacked), or the fault-injecting wrapper.
 enum Inbox<'a> {
-    Plain(&'a crossbeam_channel::Receiver<EpochReport>),
+    Plain {
+        rx: &'a crossbeam_channel::Receiver<ReportBatch>,
+        unpacking: std::vec::IntoIter<EpochReport>,
+    },
     Faulty(FaultyInbox<'a>),
 }
 
-impl Inbox<'_> {
-    fn recv(&mut self) -> Option<EpochReport> {
+impl<'a> Inbox<'a> {
+    /// The inbox of one drive: fault-injecting when the domain's plan is
+    /// live, the raw channel otherwise.
+    fn new(
+        rx: &'a crossbeam_channel::Receiver<ReportBatch>,
+        domain: Option<&'a FaultDomain<'_>>,
+        recorder: &'a Recorder,
+    ) -> Self {
+        match domain {
+            Some(domain) if domain.injector.enabled() => Inbox::Faulty(FaultyInbox::new(
+                rx,
+                domain.injector,
+                &domain.tallies,
+                recorder,
+            )),
+            _ => Inbox::Plain {
+                rx,
+                unpacking: Vec::new().into_iter(),
+            },
+        }
+    }
+
+    /// The next report; `block` waits for one, otherwise only what has
+    /// already been delivered is returned. `None` when blocking means every
+    /// sender is gone.
+    fn next(&mut self, block: bool) -> Option<EpochReport> {
         match self {
-            Inbox::Plain(rx) => rx.recv().ok(),
-            Inbox::Faulty(inbox) => inbox.recv(),
+            Inbox::Plain { rx, unpacking } => loop {
+                if let Some(report) = unpacking.next() {
+                    return Some(report);
+                }
+                let batch = if block {
+                    rx.recv().ok()?
+                } else {
+                    rx.try_recv().ok()?
+                };
+                *unpacking = batch.into_iter();
+            },
+            Inbox::Faulty(inbox) => inbox.next(block),
         }
     }
 }
@@ -1675,13 +1761,19 @@ impl<'a, 'h> Committer<'a, 'h> {
                 // on the channel (which may already be empty and closed).
                 continue;
             }
-            let Some(report) = inbox.recv() else {
+            let Some(report) = inbox.next(true) else {
                 panic!(
                     "async transport lost epoch reports ({} of {} epochs committed)",
                     self.completed, self.epochs
                 );
             };
             self.admit(report, out);
+            // Admit everything already delivered before the next commit
+            // pass, so a burst of reports costs one pass over the ready
+            // shards, not one per report.
+            while let Some(report) = inbox.next(false) {
+                self.admit(report, out);
+            }
         }
     }
 
@@ -2069,7 +2161,7 @@ impl CommitTransport for BoundedStaleness {
         let frontiers = ShardFrontiers::new(ctx.shard_count(), self.staleness);
         let domain = fault_domain(&ctx, &windows, &tenant_shard);
         let domain_ref = domain.as_ref();
-        let (tx, rx) = crossbeam_channel::unbounded::<EpochReport>();
+        let (tx, rx) = crossbeam_channel::unbounded::<ReportBatch>();
         std::thread::scope(|scope| {
             for mut handle in handles {
                 let tx = tx.clone();
@@ -2135,7 +2227,9 @@ impl CommitTransport for BoundedStaleness {
                             last,
                             aborted: false,
                         };
-                        if tx.send(report).is_err() || last {
+                        // A tenant thread has nothing to do between epochs but
+                        // wait on its frontier, so its batches hold one report.
+                        if !send_batch(&tx, ctx.recorder(), vec![report]) || last {
                             break;
                         }
                         guard.epoch = epoch + 1;
@@ -2153,15 +2247,7 @@ impl CommitTransport for BoundedStaleness {
                 doorbell: None,
                 armed: true,
             };
-            let inbox = match domain_ref {
-                Some(domain) if domain.injector.enabled() => Inbox::Faulty(FaultyInbox::new(
-                    &rx,
-                    domain.injector,
-                    &domain.tallies,
-                    ctx.recorder(),
-                )),
-                _ => Inbox::Plain(&rx),
-            };
+            let inbox = Inbox::new(&rx, domain_ref, ctx.recorder());
             Committer::new(&ctx, &windows, &tenant_shard, &frontiers, domain_ref).run(
                 inbox,
                 &mut out,
@@ -2180,13 +2266,51 @@ impl CommitTransport for BoundedStaleness {
 /// One tenant's schedulable state under [`WorkStealing`]: its handle plus
 /// the next epoch it will step. Lives in the tenant's slot whenever the
 /// tenant is queued (injector or a worker deque) or parked on a frontier; a
-/// worker takes it out only to run one epoch.
+/// worker claims it out of the slot for as long as the frontier keeps
+/// admitting the tenant.
 struct TenantTask<'a> {
     handle: TenantHandle<'a>,
     next_epoch: usize,
     /// Whether this tenant's scheduled crash already fired (the re-executed
     /// crash epoch must not re-trigger it).
     crashed: bool,
+}
+
+/// How many finished reports a pool worker holds before it sends them no
+/// matter what else it has queued. The usual flush is the local deque
+/// running dry (at most one injector batch of tasks away); the cap bounds
+/// what a worker can withhold from the committer while `staleness > 0` lets
+/// it step the same tenants several epochs in a row.
+pub(crate) const REPORT_BATCH_CAP: usize = 32;
+
+/// A pool worker's finished-but-unsent epoch reports. The committer is woken
+/// once per flush instead of once per tenant-epoch. A worker flushes before
+/// it looks beyond its own deque, before every sleep and before it exits, so
+/// a report is never withheld by a worker that has stopped producing them.
+struct ReportBuffer<'a> {
+    tx: &'a crossbeam_channel::Sender<ReportBatch>,
+    recorder: &'a Recorder,
+    held: ReportBatch,
+}
+
+impl ReportBuffer<'_> {
+    /// Buffers one report; flushes at the cap and on a tenant's final
+    /// report. `false` means a flush found the committer gone.
+    fn push(&mut self, report: EpochReport) -> bool {
+        let flush = report.last || self.held.len() + 1 >= REPORT_BATCH_CAP;
+        self.held.push(report);
+        !flush || self.flush()
+    }
+
+    /// Sends everything held as one message. `false` means the committer is
+    /// gone (its poisoned frontiers end this worker on its next round).
+    fn flush(&mut self) -> bool {
+        if self.held.is_empty() {
+            return true;
+        }
+        let batch = std::mem::replace(&mut self.held, Vec::with_capacity(REPORT_BATCH_CAP));
+        send_batch(self.tx, self.recorder, batch)
+    }
 }
 
 /// Everything a pool worker shares with its peers and the committer.
@@ -2211,15 +2335,21 @@ struct StealPool<'a, 'h> {
 impl<'h> StealPool<'_, 'h> {
     /// One worker's scheduling loop: pop the local deque, then steal from
     /// the shared injector (batch) or a peer's deque; run the claimed
-    /// tenant's next epoch; sleep on the doorbell only when every queue was
-    /// observed empty at an unchanged doorbell generation.
+    /// tenant for as long as its frontier admits it; sleep on the doorbell
+    /// only when every queue was observed empty at an unchanged doorbell
+    /// generation. Finished reports leave in batches (see [`ReportBuffer`]).
     fn run_worker(
         &self,
         worker: usize,
         local: &Worker<usize>,
-        tx: &crossbeam_channel::Sender<EpochReport>,
+        tx: &crossbeam_channel::Sender<ReportBatch>,
     ) {
         let recorder = self.ctx.recorder();
+        let mut outbound = ReportBuffer {
+            tx,
+            recorder,
+            held: Vec::with_capacity(REPORT_BATCH_CAP),
+        };
         loop {
             // Snapshot the doorbell before scanning: a task injected after an
             // empty scan bumps the generation, so the sleep below returns
@@ -2236,10 +2366,14 @@ impl<'h> StealPool<'_, 'h> {
             // hunger signals, so they bypass the idle-wake tally.
             if let Some(governor) = self.governor {
                 if worker > 0 && worker >= governor.cap() {
+                    // A gated worker may sleep until the pool drains, and
+                    // the pool cannot drain while the committer waits for
+                    // reports held here.
+                    outbound.flush();
                     if self.remaining.load(Ordering::Acquire) == 0 {
                         return;
                     }
-                    // Hand queued continuations back to the injector before
+                    // Hand queued tasks back to the injector before
                     // sleeping: a peer that scanned before this worker's last
                     // push would never learn about work stranded in a gated
                     // deque, and with the committer also drained that is a
@@ -2261,6 +2395,10 @@ impl<'h> StealPool<'_, 'h> {
             // the shared injector or a peer's cold end.
             let mut stolen = false;
             let task = local.pop().or_else(|| {
+                // The local deque ran dry: what this worker finished since
+                // its last flush goes out before it looks elsewhere — and so
+                // before it can find nothing and sleep or exit.
+                outbound.flush();
                 stolen = true;
                 self.injector
                     .steal_batch_and_pop(local)
@@ -2275,7 +2413,7 @@ impl<'h> StealPool<'_, 'h> {
                             worker: worker as u64,
                         });
                     }
-                    self.run_tenant(tenant, local, tx)
+                    self.run_tenant(tenant, &mut outbound)
                 }
                 None => {
                     if self.remaining.load(Ordering::Acquire) == 0 {
@@ -2294,90 +2432,103 @@ impl<'h> StealPool<'_, 'h> {
         }
     }
 
-    /// Steps one epoch of `tenant` (or parks it on its shard's frontier) and
-    /// reschedules the continuation through the local deque, where an idle
-    /// peer can steal it.
-    fn run_tenant(
+    /// Asks `tenant`'s shard frontier whether the tenant may enter its next
+    /// epoch, and claims its task out of the slot if so (with the observed
+    /// staleness); otherwise the tenant is parked where it sits. `returning`
+    /// is the task of a worker that just stepped the tenant and hands it
+    /// back. The slot stays locked across the question, so the task is in
+    /// its slot before the frontier can park it, and a release racing the
+    /// answer finds it there as soon as this worker lets go.
+    fn claim(
         &self,
         tenant: usize,
-        local: &Worker<usize>,
-        tx: &crossbeam_channel::Sender<EpochReport>,
-    ) {
-        let mut task = self.slots[tenant]
-            .lock()
-            .expect("tenant slot poisoned")
-            .take()
-            .expect("tenant scheduled while not in its slot");
-        let shard = self.tenant_shard[tenant];
-        let epoch = task.next_epoch;
-        // Park point: the task must be back in its slot before asking the
-        // frontier, so a release racing the answer finds the tenant where
-        // the next worker will look for it.
-        *self.slots[tenant].lock().expect("tenant slot poisoned") = Some(task);
-        let Some(staleness) = self.frontiers.enter_or_park(shard, epoch, tenant) else {
-            // Parked; the committer re-injects it on advance.
-            if let Some(governor) = self.governor {
-                governor.note_park();
-            }
-            let recorder = self.ctx.recorder();
-            recorder.with(|m| m.parks.inc());
-            recorder.event(|| Event::WorkerPark {
-                tenant: tenant as u64,
-                epoch: epoch as u64,
-            });
-            return;
-        };
-        task = self.slots[tenant]
-            .lock()
-            .expect("tenant slot poisoned")
-            .take()
-            .expect("admitted tenant missing from its slot");
-        // A panicking tenant (service model or poisoned outbox) must kill
-        // only itself, never the pool: the epoch body runs under
-        // `catch_unwind`, the guard reports the abort to the committer
-        // (which retires the tenant and releases its slots), and this
-        // worker — not the dead tenant — keeps the drain accounting right.
-        let mut guard = AbortOnDrop {
-            tx,
-            tenant,
-            epoch,
-            armed: true,
-        };
-        let stepped = catch_unwind(AssertUnwindSafe(|| {
-            if !task.crashed {
-                if let Some(domain) = self.domain {
-                    let (start, end) = self.windows[tenant];
-                    if domain.injector.crash_epoch(tenant, start, end) == Some(epoch) {
-                        task.crashed = true;
-                        // The doomed attempt: mid-epoch work that dies with
-                        // the crash, publishes and all.
-                        task.handle.step_epoch(epoch, self.ctx);
-                        let _ = task.handle.drain_outbox();
-                        crash_and_recover(self.ctx, domain, &mut task.handle, epoch);
+        returning: Option<TenantTask<'h>>,
+    ) -> Option<(TenantTask<'h>, usize)> {
+        let mut slot = self.slots[tenant].lock().expect("tenant slot poisoned");
+        if let Some(task) = returning {
+            *slot = Some(task);
+        }
+        let epoch = slot
+            .as_ref()
+            .expect("tenant scheduled while not in its slot")
+            .next_epoch;
+        let admitted = self
+            .frontiers
+            .enter_or_park(self.tenant_shard[tenant], epoch, tenant);
+        if let Some(staleness) = admitted {
+            return slot.take().map(|task| (task, staleness));
+        }
+        drop(slot);
+        // Parked; the committer re-injects it on advance.
+        if let Some(governor) = self.governor {
+            governor.note_park();
+        }
+        let recorder = self.ctx.recorder();
+        recorder.with(|m| m.parks.inc());
+        recorder.event(|| Event::WorkerPark {
+            tenant: tenant as u64,
+            epoch: epoch as u64,
+        });
+        None
+    }
+
+    /// Steps `tenant` epoch after epoch until its shard's frontier parks it
+    /// or its window ends. After each epoch the worker asks the frontier for
+    /// the next one directly: under `staleness = 0` that parks the tenant on
+    /// the spot, with no trip through a deque; under a larger bound the
+    /// worker keeps the hot tenant, as the LIFO deque used to arrange.
+    fn run_tenant(&self, tenant: usize, outbound: &mut ReportBuffer<'_>) {
+        let mut claimed = self.claim(tenant, None);
+        while let Some((mut task, staleness)) = claimed {
+            let epoch = task.next_epoch;
+            // A panicking tenant (service model or poisoned outbox) must
+            // kill only itself, never the pool: the epoch body runs under
+            // `catch_unwind`, the guard reports the abort to the committer
+            // (which retires the tenant and releases its slots), and this
+            // worker — not the dead tenant — keeps the drain accounting
+            // right.
+            let mut guard = AbortOnDrop {
+                tx: outbound.tx,
+                tenant,
+                epoch,
+                armed: true,
+            };
+            let stepped = catch_unwind(AssertUnwindSafe(|| {
+                if !task.crashed {
+                    if let Some(domain) = self.domain {
+                        let (start, end) = self.windows[tenant];
+                        if domain.injector.crash_epoch(tenant, start, end) == Some(epoch) {
+                            task.crashed = true;
+                            // The doomed attempt: mid-epoch work that dies
+                            // with the crash, publishes and all.
+                            task.handle.step_epoch(epoch, self.ctx);
+                            let _ = task.handle.drain_outbox();
+                            crash_and_recover(self.ctx, domain, &mut task.handle, epoch);
+                        }
                     }
                 }
+                task.handle.step_epoch(epoch, self.ctx);
+                task.handle.observe_reuse(epoch);
+                task.handle.drain_outbox()
+            }));
+            let Ok(ops) = stepped else {
+                // Buffered reports first, then the abort notice, then retire
+                // this tenant from the pool's drain accounting so idle
+                // workers can still exit.
+                outbound.flush();
+                drop(guard);
+                if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    self.doorbell.ring();
+                }
+                return;
+            };
+            let retiring = task.handle.retires_at(epoch);
+            if retiring {
+                task.handle.retire();
             }
-            task.handle.step_epoch(epoch, self.ctx);
-            task.handle.observe_reuse(epoch);
-            task.handle.drain_outbox()
-        }));
-        let Ok(ops) = stepped else {
-            // Send the abort notice now, then retire this tenant from the
-            // pool's drain accounting so idle workers can still exit.
-            drop(guard);
-            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.doorbell.ring();
-            }
-            return;
-        };
-        let retiring = task.handle.retires_at(epoch);
-        if retiring {
-            task.handle.retire();
-        }
-        let (hits, misses) = task.handle.repo_stats();
-        let last = retiring || epoch + 1 == self.windows[tenant].1;
-        let sent = tx
-            .send(EpochReport {
+            let (hits, misses) = task.handle.repo_stats();
+            let last = retiring || epoch + 1 == self.windows[tenant].1;
+            let sent = outbound.push(EpochReport {
                 tenant,
                 epoch,
                 staleness,
@@ -2386,25 +2537,21 @@ impl<'h> StealPool<'_, 'h> {
                 misses,
                 last,
                 aborted: false,
-            })
-            .is_ok();
-        guard.disarm();
-        if last || !sent {
-            // The tenant is done (or the committer is gone — the poisoned
-            // frontiers panic this worker on its next loop). The final
-            // finisher rings the doorbell so idle peers notice the pool is
-            // drained and exit.
-            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.doorbell.ring();
+            });
+            guard.disarm();
+            if last || !sent {
+                // The tenant is done (or the committer is gone — the
+                // poisoned frontiers panic this worker on its next loop).
+                // The final finisher rings the doorbell so idle peers notice
+                // the pool is drained and exit.
+                if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    self.doorbell.ring();
+                }
+                return;
             }
-            return;
+            task.next_epoch = epoch + 1;
+            claimed = self.claim(tenant, Some(task));
         }
-        task.next_epoch = epoch + 1;
-        // Reschedule through the local deque: LIFO keeps the hot tenant on
-        // this worker when nobody is idle, while an idle peer steals it from
-        // the cold end.
-        *self.slots[tenant].lock().expect("tenant slot poisoned") = Some(task);
-        local.push(tenant);
     }
 }
 
@@ -2417,7 +2564,11 @@ impl<'h> StealPool<'_, 'h> {
 /// handful of threads — the regime where one-thread-per-tenant loses to the
 /// barrier on small hosts. A tenant whose shard frontier is too far behind
 /// is **parked as data** (never blocking a pool worker) and re-injected by
-/// the committer when its shard catches up.
+/// the committer when its shard catches up. The per-tenant-epoch path is
+/// kept free of wake-ups: a worker asks the frontier for a tenant's next
+/// epoch right after stepping it (under `staleness = 0` that parks the
+/// tenant where it sits) and sends its finished reports in batches (see
+/// [`ReportBuffer`]).
 ///
 /// Consistency is exactly [`BoundedStaleness`]'s: same per-shard frontiers,
 /// same staleness bound, same committer ([`run_committer`]). Tenant stepping
@@ -2495,7 +2646,7 @@ impl CommitTransport for WorkStealing {
             })
             .collect();
         let remaining = AtomicUsize::new(active);
-        let (tx, rx) = crossbeam_channel::unbounded::<EpochReport>();
+        let (tx, rx) = crossbeam_channel::unbounded::<ReportBatch>();
         let locals: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_lifo()).collect();
         let stealers: Vec<Stealer<usize>> = locals.iter().map(|w| w.stealer()).collect();
         std::thread::scope(|scope| {
@@ -2526,15 +2677,7 @@ impl CommitTransport for WorkStealing {
                 doorbell: Some(&doorbell),
                 armed: true,
             };
-            let inbox = match domain_ref {
-                Some(domain) if domain.injector.enabled() => Inbox::Faulty(FaultyInbox::new(
-                    &rx,
-                    domain.injector,
-                    &domain.tallies,
-                    ctx.recorder(),
-                )),
-                _ => Inbox::Plain(&rx),
-            };
+            let inbox = Inbox::new(&rx, domain_ref, ctx.recorder());
             Committer::new(&ctx, &windows, &tenant_shard, &frontiers, domain_ref).run(
                 inbox,
                 &mut out,
@@ -2728,6 +2871,118 @@ mod tests {
         assert_eq!(frontiers.advance(0, 1), vec![8]);
         assert_eq!(frontiers.advance(0, 2), vec![7]);
         assert_eq!(frontiers.enter_or_park(0, 2, 7), Some(0));
+    }
+
+    fn report(tenant: usize, epoch: usize, last: bool) -> EpochReport {
+        EpochReport {
+            tenant,
+            epoch,
+            staleness: 0,
+            ops: Vec::new(),
+            hits: 0,
+            misses: 0,
+            last,
+            aborted: false,
+        }
+    }
+
+    #[test]
+    fn a_batch_ages_held_reports_by_one_delivery_per_report() {
+        // A plan that drops tenant 0's epoch-1 report for two deliveries and
+        // leaves tenants 1..=3 alone: the held report must come out after
+        // exactly one later report, whether the four arrive as four
+        // messages or as one batch.
+        let injector = (0..)
+            .map(|seed| {
+                FaultInjector::from_spec(Some(FaultSpec::with_kinds(
+                    seed,
+                    &[FaultKind::DropReport],
+                )))
+            })
+            .find(|plan| {
+                plan.drop_delay(0, 1) == Some(2) && (1..=3).all(|t| plan.drop_delay(t, 1).is_none())
+            })
+            .expect("some seed drops exactly that report");
+        let delivery_order = |messages: Vec<ReportBatch>| -> Vec<usize> {
+            let (tx, rx) = crossbeam_channel::unbounded::<ReportBatch>();
+            let tallies = FaultTallies::default();
+            let recorder = Recorder::disabled();
+            let mut inbox = FaultyInbox::new(&rx, injector, &tallies, &recorder);
+            for message in messages {
+                assert!(tx.send(message).is_ok(), "receiver alive");
+            }
+            // The sender stays alive: the disconnect flush must not be what
+            // releases the held report.
+            let order = (0..4)
+                .map(|_| inbox.next(true).expect("four reports").tenant)
+                .collect();
+            assert!(inbox.next(false).is_none(), "nothing further was delivered");
+            assert_eq!(tallies.reports_dropped.load(Ordering::Relaxed), 1);
+            order
+        };
+        let singles = delivery_order((0..4).map(|t| vec![report(t, 1, true)]).collect());
+        let batch = delivery_order(vec![(0..4).map(|t| report(t, 1, true)).collect()]);
+        assert_eq!(singles, vec![1, 0, 2, 3]);
+        assert_eq!(batch, singles, "a batch of n must age held reports n times");
+    }
+
+    #[test]
+    fn an_abort_notice_may_overtake_the_dead_tenants_buffered_reports() {
+        // Two tenants on one shard, three epochs, K = 2. Tenant 1 dies in
+        // epoch 2 on one worker while its epoch-1 report still sits in
+        // another worker's buffer: the notice arrives first. The committer
+        // must stop expecting tenant 1 from epoch 2 on, still take the late
+        // epoch-1 report, and commit all three epochs.
+        let repo: Arc<dyn RepositoryClient> = Arc::new(SharedSignatureRepository::new(
+            crate::shared_repo::SharedRepoConfig {
+                shards: 1,
+                ..Default::default()
+            },
+        ));
+        let recorder = Recorder::disabled();
+        let ctx = FleetContext {
+            shared: &repo,
+            concrete: None,
+            epochs: 3,
+            epoch_secs: 3600.0,
+            origin_secs: 0.0,
+            workers: 1,
+            recorder: &recorder,
+            faults: FaultInjector::disabled(),
+            checkpoint_every: 0,
+            checkpoint_dir: None,
+            respawn: None,
+        };
+        let windows = [(0, 3), (0, 3)];
+        let tenant_shard = [0, 0];
+        let frontiers = ShardFrontiers::new(1, 2);
+        let (tx, rx) = crossbeam_channel::unbounded::<ReportBatch>();
+        let abort = EpochReport {
+            aborted: true,
+            ..report(1, 2, true)
+        };
+        for message in [
+            vec![report(0, 0, false), report(1, 0, false)],
+            vec![abort],
+            vec![report(0, 1, false), report(0, 2, true), report(1, 1, false)],
+        ] {
+            assert!(tx.send(message).is_ok(), "receiver alive");
+        }
+        drop(tx);
+        let mut out = TransportOutcome::new("test".to_string(), 2);
+        Committer::new(&ctx, &windows, &tenant_shard, &frontiers, None).run(
+            Inbox::new(&rx, None, &recorder),
+            &mut out,
+            &mut |_released| {},
+            &mut |_stepped| {},
+        );
+        assert_eq!(out.failed, vec![None, Some(2)]);
+        assert_eq!(out.hit_rate_curve.len(), 3, "every epoch folded");
+        assert_eq!(
+            out.summary.view_staleness.total(),
+            5,
+            "three reports of the survivor, two of the dead tenant"
+        );
     }
 
     #[test]

@@ -363,6 +363,10 @@ pub struct Metrics {
     pub steals: Counter,
     /// Doorbell wakes: an idle worker woken by committer progress.
     pub wakes: Counter,
+    /// Channel messages that carried epoch reports to the committer. Epoch
+    /// reports ÷ this is the batching the work-stealing pool achieved (the
+    /// thread-per-tenant transport always sends one report per message).
+    pub report_batches: Counter,
     /// Adaptive-cap pool growths (one worker un-gated at an epoch fold).
     pub pool_grows: Counter,
     /// Adaptive-cap pool shrinks (one worker gated at an epoch fold).

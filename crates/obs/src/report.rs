@@ -75,13 +75,16 @@ pub struct ObsReport {
 /// buffers fill, which the async transports leave to arrival order. The
 /// `durable_*` trio is here because fold sizes and byte counts track the
 /// commit interleaving, which K > 0 runs leave to scheduling.
-const SCHEDULING_COUNTERS: [&str; 9] = [
+/// `report_batches` is here because a pool worker's batch ends when its
+/// deque happens to run dry.
+const SCHEDULING_COUNTERS: [&str; 10] = [
     "durable_bytes",
     "durable_folds",
     "durable_segments",
     "parks",
     "pool_grows",
     "pool_shrinks",
+    "report_batches",
     "scratch_bytes_saved",
     "steals",
     "wakes",
@@ -121,6 +124,7 @@ impl ObsReport {
             ("pool_shrinks".to_string(), metrics.pool_shrinks.get()),
             ("recoveries".to_string(), metrics.recoveries.get()),
             ("replayed_epochs".to_string(), metrics.replayed_epochs.get()),
+            ("report_batches".to_string(), metrics.report_batches.get()),
             ("retransmits".to_string(), metrics.retransmits.get()),
             (
                 "scratch_bytes_saved".to_string(),

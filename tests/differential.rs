@@ -44,8 +44,8 @@
 //!   deterministic for a fixed seed.
 
 use dejavu::fleet::{
-    FleetConfig, FleetEngine, FleetReport, Scenario, ScenarioBuilder, SharedRepoConfig,
-    SharedSignatureRepository, TransportConfig,
+    standard_fleet, FleetConfig, FleetEngine, FleetReport, Scenario, ScenarioBuilder,
+    SharedRepoConfig, SharedSignatureRepository, TransportConfig,
 };
 use dejavu::obs::Recorder;
 use dejavu::simcore::SimDuration;
@@ -384,6 +384,32 @@ fn obs_recording_is_invisible_to_results_across_transports() {
             &format!("obs case {case}"),
         );
     });
+    // The fuzzed fleets are a handful of tenants. One fleet larger than the
+    // work-stealing pool's report-batch cap (32 reports) puts whole batches —
+    // and the `report_batches` probe on every send — on the path: obs on
+    // must still bit-match obs off, and the counter must show that fewer
+    // messages than reports reached the committer.
+    let mut scenario = standard_fleet(48, 1, 11);
+    scenario.tick = SimDuration::from_secs(900.0);
+    let repo = SharedRepoConfig::default();
+    let steal = TransportConfig::WorkStealing {
+        threads: 2,
+        staleness: 0,
+        adaptive: false,
+    };
+    let (off, _) = run_with_obs(&scenario, &repo, steal, false);
+    let (on, recorder) = run_with_obs(&scenario, &repo, steal, true);
+    assert_reports_bit_match(&off, &on, "obs on a batching steal pool");
+    let batches = recorder
+        .metrics()
+        .expect("enabled recorder")
+        .report_batches
+        .get();
+    let reports = on.transport.view_staleness.total();
+    assert!(
+        batches > 0 && batches < reports,
+        "{batches} batches carried {reports} reports"
+    );
 }
 
 /// The simulation-determined subset of the obs report (`render_stable`) is
