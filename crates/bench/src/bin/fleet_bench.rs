@@ -1,18 +1,15 @@
 //! `fleet-bench` — the recorded performance trajectory of the fleet hot path.
 //!
 //! Runs the standard mixed fleet end to end (shared and isolated repository
-//! modes), the BSP-vs-async commit-transport comparison (same fleet under
-//! the lock-step barrier and under bounded staleness, with a `k = 0`
-//! bit-match check), the work-stealing thread-cap sweep (the 1000-tenant
-//! fleet on pools of 1/2/4 workers vs the barrier and vs one thread per
-//! tenant, with its own `k = 0` bit-match check), the flight-recorder
+//! modes), the work-stealing thread-cap sweep (the 1000-tenant fleet on
+//! pools of 1/2/4 workers vs the lock-step barrier, with a `k = 0`
+//! bit-match check), the flight-recorder
 //! overhead comparison (the same work-stealing fleet with the obs recorder
 //! off and on), the serving measurement (the wait-free read path under
 //! mixed read/publish load, plus wire round trips through a live
 //! `dejavu-serve` daemon), the single-epoch scale scenario (100k tenants in
-//! one 24 h commit window on a pool with one worker per host core, fixed
-//! and adaptive caps, plus the chunked-vs-exact distance-kernel
-//! microbenchmark), and a shared-repository lookup microbenchmark,
+//! one 24 h commit window on a pool with one worker per host core, plus
+//! the chunked-vs-exact distance-kernel microbenchmark), and a shared-repository lookup microbenchmark,
 //! then emits `BENCH_fleet.json` so every perf PR leaves comparable
 //! numbers behind.
 //! Each recorded run is labelled with the git revision and the host's core
@@ -204,81 +201,17 @@ fn warm_vs_cold(
     }
 }
 
-/// The BSP-vs-async transport comparison: the same shared fleet driven by
-/// the lock-step epoch barrier and by the bounded-staleness transport
-/// (free-running tenant threads, views at most `staleness` epochs stale).
-/// Also verifies that `staleness = 0` bit-matches the barrier, so the
-/// recorded speedup is attributable to relaxed synchronization alone.
-struct TransportMeasurement {
-    tenants: usize,
-    days: usize,
-    staleness: usize,
-    bsp_epochs_per_sec: f64,
-    async_epochs_per_sec: f64,
-    speedup: f64,
-    view_staleness_mean: f64,
-    view_staleness_max: usize,
-    async0_bit_match: bool,
-}
-
-fn transport_compare(tenants: usize, days: usize, staleness: usize) -> TransportMeasurement {
-    let run = |transport: TransportConfig| {
-        let engine = FleetEngine::new(
-            standard_fleet(tenants, days, 11),
-            FleetConfig {
-                transport,
-                ..Default::default()
-            },
-        );
-        let start = Instant::now();
-        let report = engine.run();
-        (report, start.elapsed().as_secs_f64())
-    };
-    let (bsp_report, bsp_secs) = run(TransportConfig::Bsp);
-    let (async_report, async_secs) = run(TransportConfig::BoundedStaleness { staleness });
-    let (async0_report, _) = run(TransportConfig::BoundedStaleness { staleness: 0 });
-    let async0_bit_match = async0_report.hit_rate_curve == bsp_report.hit_rate_curve
-        && bsp_report
-            .tenants
-            .iter()
-            .zip(&async0_report.tenants)
-            .all(|(a, b)| {
-                a.dejavu.total_cost == b.dejavu.total_cost
-                    && a.stats.tunings == b.stats.tunings
-                    && a.cross_tenant_hits == b.cross_tenant_hits
-            });
-    let bsp_epochs_per_sec = bsp_report.epochs as f64 / bsp_secs.max(1e-12);
-    let async_epochs_per_sec = async_report.epochs as f64 / async_secs.max(1e-12);
-    TransportMeasurement {
-        tenants,
-        days,
-        staleness,
-        bsp_epochs_per_sec,
-        async_epochs_per_sec,
-        speedup: async_epochs_per_sec / bsp_epochs_per_sec.max(1e-12),
-        view_staleness_mean: async_report.transport.view_staleness.mean(),
-        view_staleness_max: async_report.transport.view_staleness.max(),
-        async0_bit_match,
-    }
-}
-
-/// The work-stealing thread-cap sweep: the same fleet under the barrier,
-/// under one-thread-per-tenant bounded staleness, and under the
-/// work-stealing pool at several thread caps — the configuration meant for
-/// 1000+-tenant fleets on small hosts, where one thread per tenant loses to
-/// the barrier. Also verifies that `staleness = 0` on the pool bit-matches
-/// the barrier, so the recorded throughput is attributable to scheduling
-/// alone.
+/// The work-stealing thread-cap sweep: the same fleet under the barrier and
+/// under the work-stealing pool at several thread caps. Also verifies that
+/// `staleness = 0` on the pool bit-matches the barrier, so the recorded
+/// throughput is attributable to scheduling alone.
 struct WorkStealingMeasurement {
     tenants: usize,
     days: usize,
     staleness: usize,
     bsp_epochs_per_sec: f64,
-    async_epochs_per_sec: f64,
     /// `(thread cap, epochs/s)` per sweep point.
     caps: Vec<(usize, f64)>,
-    /// Pool epochs/s (best cap) over one-thread-per-tenant epochs/s.
-    speedup_vs_async: f64,
     steal0_bit_match: bool,
 }
 
@@ -301,20 +234,14 @@ fn work_stealing_sweep(
         (report, start.elapsed().as_secs_f64())
     };
     let (bsp_report, bsp_secs) = run(TransportConfig::Bsp);
-    let (_, async_secs) = run(TransportConfig::BoundedStaleness { staleness });
     let mut cap_rates = Vec::new();
     for &threads in caps {
-        let (report, secs) = run(TransportConfig::WorkStealing {
-            threads,
-            staleness,
-            adaptive: false,
-        });
+        let (report, secs) = run(TransportConfig::WorkStealing { threads, staleness });
         cap_rates.push((threads, report.epochs as f64 / secs.max(1e-12)));
     }
     let (steal0_report, _) = run(TransportConfig::WorkStealing {
         threads: *caps.last().unwrap_or(&2),
         staleness: 0,
-        adaptive: false,
     });
     let steal0_bit_match = steal0_report.hit_rate_curve == bsp_report.hit_rate_curve
         && bsp_report
@@ -326,20 +253,12 @@ fn work_stealing_sweep(
                     && a.stats.tunings == b.stats.tunings
                     && a.cross_tenant_hits == b.cross_tenant_hits
             });
-    let epochs = bsp_report.epochs as f64;
-    let async_epochs_per_sec = epochs / async_secs.max(1e-12);
-    let best = cap_rates
-        .iter()
-        .map(|&(_, rate)| rate)
-        .fold(0.0f64, f64::max);
     WorkStealingMeasurement {
         tenants,
         days,
         staleness,
-        bsp_epochs_per_sec: epochs / bsp_secs.max(1e-12),
-        async_epochs_per_sec,
+        bsp_epochs_per_sec: bsp_report.epochs as f64 / bsp_secs.max(1e-12),
         caps: cap_rates,
-        speedup_vs_async: best / async_epochs_per_sec.max(1e-12),
         steal0_bit_match,
     }
 }
@@ -373,7 +292,6 @@ fn obs_compare(tenants: usize, days: usize) -> ObsMeasurement {
                 transport: TransportConfig::WorkStealing {
                     threads: 4,
                     staleness: 1,
-                    adaptive: false,
                 },
                 recorder: recorder.clone(),
                 ..Default::default()
@@ -436,7 +354,10 @@ fn fault_compare(tenants: usize, days: usize) -> FaultMeasurement {
         let engine = FleetEngine::new(
             standard_fleet(tenants, days, 11),
             FleetConfig {
-                transport: TransportConfig::BoundedStaleness { staleness: 0 },
+                transport: TransportConfig::WorkStealing {
+                    threads: 2,
+                    staleness: 0,
+                },
                 faults,
                 checkpoint_every: 8,
                 ..Default::default()
@@ -676,10 +597,9 @@ fn serving_bench(
 /// `--quick`) squeezed into a single 24 h epoch. The whole simulated day is
 /// one commit window and every tenant observes hourly, so the run stresses
 /// tenant *count* — per-tenant signature prep, work-stealing scheduling, and
-/// commit batching — rather than epoch count. Runs once on a fixed pool with
-/// one worker per host core (the multi-core recording mode) and once under
-/// the adaptive cap governor, surfacing the governor and scratch-reuse
-/// counters from the flight recorder.
+/// commit batching — rather than epoch count. Runs on a pool with one worker
+/// per host core (the multi-core recording mode), surfacing the scheduling
+/// and scratch-reuse counters from the flight recorder.
 struct ScaleMeasurement {
     tenants: usize,
     epochs: usize,
@@ -690,52 +610,38 @@ struct ScaleMeasurement {
     /// with fleet size when the epoch count is pinned at one.
     tenant_epochs_per_sec: f64,
     hit_rate: f64,
-    adaptive_secs: f64,
-    adaptive_tenant_epochs_per_sec: f64,
-    pool_grows: u64,
-    pool_shrinks: u64,
     parks: u64,
     steals: u64,
     scratch_bytes_saved: u64,
 }
 
 fn scale_bench(tenants: usize) -> ScaleMeasurement {
-    let scenario = || {
-        let mut s = standard_fleet(tenants, 1, 17);
-        s.name = format!("scale-{tenants}");
-        // One fleet-wide epoch covering the whole day; hourly observation
-        // keeps per-tenant work proportional to the standard fleets.
-        s.epoch = SimDuration::from_hours(24.0);
-        s.tick = SimDuration::from_hours(1.0);
-        s
-    };
+    let mut scenario = standard_fleet(tenants, 1, 17);
+    scenario.name = format!("scale-{tenants}");
+    // One fleet-wide epoch covering the whole day; hourly observation keeps
+    // per-tenant work proportional to the standard fleets.
+    scenario.epoch = SimDuration::from_hours(24.0);
+    scenario.tick = SimDuration::from_hours(1.0);
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let run = |adaptive: bool| {
-        let recorder = Recorder::enabled();
-        let engine = FleetEngine::new(
-            scenario(),
-            FleetConfig {
-                transport: TransportConfig::WorkStealing {
-                    threads,
-                    staleness: 1,
-                    adaptive,
-                },
-                recorder: recorder.clone(),
-                ..Default::default()
+    let recorder = Recorder::enabled();
+    let engine = FleetEngine::new(
+        scenario,
+        FleetConfig {
+            transport: TransportConfig::WorkStealing {
+                threads,
+                staleness: 1,
             },
-        );
-        let start = Instant::now();
-        let report = engine.run();
-        (report, start.elapsed().as_secs_f64(), recorder)
-    };
-    let (report, secs, recorder) = run(false);
+            recorder: recorder.clone(),
+            ..Default::default()
+        },
+    );
+    let start = Instant::now();
+    let report = engine.run();
+    let secs = start.elapsed().as_secs_f64();
     let fixed = recorder.metrics().expect("enabled recorder has metrics");
-    let (report_a, adaptive_secs, recorder_a) = run(true);
-    let adaptive = recorder_a.metrics().expect("enabled recorder has metrics");
     let epochs = report.epochs;
-    assert_eq!(epochs, report_a.epochs, "adaptive run drifted in epochs");
     ScaleMeasurement {
         tenants,
         epochs,
@@ -744,10 +650,6 @@ fn scale_bench(tenants: usize) -> ScaleMeasurement {
         epochs_per_sec: epochs as f64 / secs.max(1e-12),
         tenant_epochs_per_sec: (tenants * epochs) as f64 / secs.max(1e-12),
         hit_rate: report.fleet_hit_rate(),
-        adaptive_secs,
-        adaptive_tenant_epochs_per_sec: (tenants * epochs) as f64 / adaptive_secs.max(1e-12),
-        pool_grows: adaptive.pool_grows.get(),
-        pool_shrinks: adaptive.pool_shrinks.get(),
         parks: fixed.parks.get(),
         steals: fixed.steals.get(),
         scratch_bytes_saved: fixed.scratch_bytes_saved.get(),
@@ -979,24 +881,6 @@ fn main() {
         warm.snapshot_bytes,
     );
 
-    let transport = if args.quick {
-        transport_compare(40, 1, 2)
-    } else {
-        transport_compare(200, 3, 2)
-    };
-    eprintln!(
-        "transport {:>4} tenants x {} day(s): bsp {:>7.2} epochs/s vs async(k={}) {:>7.2} ({:.2}x; view staleness mean {:.2} max {}; k=0 bit-match {})",
-        transport.tenants,
-        transport.days,
-        transport.bsp_epochs_per_sec,
-        transport.staleness,
-        transport.async_epochs_per_sec,
-        transport.speedup,
-        transport.view_staleness_mean,
-        transport.view_staleness_max,
-        transport.async0_bit_match,
-    );
-
     let steal = if args.quick {
         work_stealing_sweep(40, 1, 1, &[2])
     } else {
@@ -1008,14 +892,12 @@ fn main() {
         .map(|(threads, rate)| format!("{threads}T {rate:.2}"))
         .collect();
     eprintln!(
-        "work-stealing {:>4} tenants x {} day(s) (k={}): bsp {:>7.2} epochs/s vs async {:>7.2} vs steal [{}] ({:.2}x over async; k=0 bit-match {})",
+        "work-stealing {:>4} tenants x {} day(s) (k={}): bsp {:>7.2} epochs/s vs steal [{}] (k=0 bit-match {})",
         steal.tenants,
         steal.days,
         steal.staleness,
         steal.bsp_epochs_per_sec,
-        steal.async_epochs_per_sec,
         caps_text.join(", "),
-        steal.speedup_vs_async,
         steal.steal0_bit_match,
     );
 
@@ -1096,17 +978,13 @@ fn main() {
         .unwrap_or(if args.quick { 10_000 } else { 100_000 });
     let scale = scale_bench(scale_tenants);
     eprintln!(
-        "scale {:>6} tenants x {} epoch ({} threads): {:>9.0} tenant-epochs/s in {:.3}s (hit rate {:.1}%); adaptive {:>9.0} in {:.3}s ({} grows, {} shrinks); {} parks, {} steals, {} scratch bytes saved",
+        "scale {:>6} tenants x {} epoch ({} threads): {:>9.0} tenant-epochs/s in {:.3}s (hit rate {:.1}%); {} parks, {} steals, {} scratch bytes saved",
         scale.tenants,
         scale.epochs,
         scale.threads,
         scale.tenant_epochs_per_sec,
         scale.secs,
         scale.hit_rate * 100.0,
-        scale.adaptive_tenant_epochs_per_sec,
-        scale.adaptive_secs,
-        scale.pool_grows,
-        scale.pool_shrinks,
         scale.parks,
         scale.steals,
         scale.scratch_bytes_saved,
@@ -1191,19 +1069,6 @@ fn main() {
         warm.warm_hit_rate,
         warm.cold_hit_rate,
     );
-    let _ = writeln!(
-        run,
-        "      \"transport\": {{\"tenants\": {}, \"days\": {}, \"staleness\": {}, \"bsp_epochs_per_sec\": {:.2}, \"async_epochs_per_sec\": {:.2}, \"speedup\": {:.3}, \"view_staleness_mean\": {:.3}, \"view_staleness_max\": {}, \"async0_bit_match\": {}}},",
-        transport.tenants,
-        transport.days,
-        transport.staleness,
-        transport.bsp_epochs_per_sec,
-        transport.async_epochs_per_sec,
-        transport.speedup,
-        transport.view_staleness_mean,
-        transport.view_staleness_max,
-        transport.async0_bit_match,
-    );
     let caps_json: Vec<String> = steal
         .caps
         .iter()
@@ -1211,14 +1076,12 @@ fn main() {
         .collect();
     let _ = writeln!(
         run,
-        "      \"work_stealing\": {{\"tenants\": {}, \"days\": {}, \"staleness\": {}, \"bsp_epochs_per_sec\": {:.2}, \"async_epochs_per_sec\": {:.2}, \"caps\": [{}], \"speedup_vs_async\": {:.3}, \"steal0_bit_match\": {}}},",
+        "      \"work_stealing\": {{\"tenants\": {}, \"days\": {}, \"staleness\": {}, \"bsp_epochs_per_sec\": {:.2}, \"caps\": [{}], \"steal0_bit_match\": {}}},",
         steal.tenants,
         steal.days,
         steal.staleness,
         steal.bsp_epochs_per_sec,
-        steal.async_epochs_per_sec,
         caps_json.join(", "),
-        steal.speedup_vs_async,
         steal.steal0_bit_match,
     );
     let _ = writeln!(
@@ -1282,7 +1145,7 @@ fn main() {
         .collect();
     let _ = writeln!(
         run,
-        "      \"scale\": {{\"tenants\": {}, \"epochs\": {}, \"threads\": {}, \"secs\": {:.4}, \"epochs_per_sec\": {:.2}, \"tenant_epochs_per_sec\": {:.0}, \"hit_rate\": {:.4}, \"adaptive_secs\": {:.4}, \"adaptive_tenant_epochs_per_sec\": {:.0}, \"pool_grows\": {}, \"pool_shrinks\": {}, \"parks\": {}, \"steals\": {}, \"scratch_bytes_saved\": {}, \"kernels\": [{}]}},",
+        "      \"scale\": {{\"tenants\": {}, \"epochs\": {}, \"threads\": {}, \"secs\": {:.4}, \"epochs_per_sec\": {:.2}, \"tenant_epochs_per_sec\": {:.0}, \"hit_rate\": {:.4}, \"parks\": {}, \"steals\": {}, \"scratch_bytes_saved\": {}, \"kernels\": [{}]}},",
         scale.tenants,
         scale.epochs,
         scale.threads,
@@ -1290,10 +1153,6 @@ fn main() {
         scale.epochs_per_sec,
         scale.tenant_epochs_per_sec,
         scale.hit_rate,
-        scale.adaptive_secs,
-        scale.adaptive_tenant_epochs_per_sec,
-        scale.pool_grows,
-        scale.pool_shrinks,
         scale.parks,
         scale.steals,
         scale.scratch_bytes_saved,

@@ -14,10 +14,8 @@
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 8 --snapshot-in fleet.snap
 //! # elastic tenancy: staggered late joiners + mid-run departures:
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 40 --churn
-//! # free-running tenants, views at most 2 epochs stale:
-//! cargo run -p dejavu-experiments --release -- fleet --transport async --staleness 2
-//! # the same consistency on a 4-thread work-stealing pool (1000+-tenant scale):
-//! cargo run -p dejavu-experiments --release -- fleet --transport steal --threads 4 --staleness 1
+//! # free-running tenants on a 4-thread work-stealing pool, views at most 2 epochs stale:
+//! cargo run -p dejavu-experiments --release -- fleet --transport steal --threads 4 --staleness 2
 //! # drop never-hit entries when persisting:
 //! cargo run -p dejavu-experiments --release -- fleet --snapshot-out fleet.snap --snapshot-compact
 //! # flight recorder: lookup latency quantiles, frontier lag, park/steal rates:
@@ -30,8 +28,8 @@
 //! With `--snapshot-in` the report carries the newcomer-convergence numbers
 //! (mean epochs to the first `FleetReuse`) that show a warm-started tenant
 //! skipping the learning phase the DejaVu paper sets out to amortize. With
-//! `--transport async` or `--transport steal` the report additionally
-//! carries the observed-staleness telemetry of the asynchronous transports.
+//! `--transport steal` the report additionally carries the observed-staleness
+//! telemetry of the asynchronous transport.
 //! The `--transport` name goes through the typed
 //! [`TransportConfig::parse`], so an unknown backend is a clear error
 //! listing the valid choices rather than a panic.
@@ -75,17 +73,17 @@ pub struct FleetOptions {
     /// (implies nothing about `obs`; the CLI sets both).
     pub obs_out: Option<String>,
     /// Inject a deterministic fault schedule into the shared fleet
-    /// (`--faults SEED` or `--faults SEED:kind,...`). Requires an async
+    /// (`--faults SEED` or `--faults SEED:kind,...`). Requires the async
     /// transport — the BSP barrier has no report path to fault.
     pub faults: Option<FaultSpec>,
     /// Compact the recovery delta chains every N commits per shard
     /// (`--checkpoint-every N`; 0 keeps every delta). Only meaningful with
-    /// an async transport; recording itself is always on during fault runs.
+    /// the async transport; recording itself is always on during fault runs.
     pub checkpoint_every: usize,
     /// Spill the shared fleet's delta-chain checkpoints to a durable
     /// on-disk store at this directory (`--checkpoint-dir PATH`): every
     /// commit is crash-safe before it acknowledges, and the directory
-    /// replays to the final repository state. Requires an async transport
+    /// replays to the final repository state. Requires the async transport
     /// and an in-process repository.
     pub checkpoint_dir: Option<String>,
     /// Drive the shared fleet against a `dejavu-serve` daemon at this TCP
@@ -239,8 +237,8 @@ pub fn run_opts(opts: &FleetOptions) -> Result<FleetFigure, Box<dyn std::error::
     // fault recovery, which the barrier transport doesn't have.
     if opts.checkpoint_dir.is_some() && opts.transport == TransportConfig::Bsp {
         return Err(
-            "--checkpoint-dir needs an async transport (bounded-staleness or \
-             work-stealing): the bsp barrier has no commit-boundary capture path"
+            "--checkpoint-dir needs an async transport (--transport steal): the bsp barrier \
+             has no commit-boundary capture path"
                 .into(),
         );
     }
@@ -442,48 +440,30 @@ mod tests {
     }
 
     #[test]
-    fn async_transport_runs_and_reports_staleness() {
-        let bsp = run_opts(&FleetOptions {
+    fn work_stealing_transport_runs_and_reports_staleness() {
+        let base = FleetOptions {
             seed: 3,
             tenants: 6,
             days: 1,
             ..Default::default()
-        })
-        .expect("bsp run");
-        let k = 2;
-        let fig = run_opts(&FleetOptions {
-            seed: 3,
-            tenants: 6,
-            days: 1,
-            transport: TransportConfig::BoundedStaleness { staleness: k },
-            ..Default::default()
-        })
-        .expect("async run");
-        assert_eq!(fig.shared.transport.name, "async(staleness=2)");
-        assert!(fig.shared.transport.view_staleness.max() <= k);
-        let text = fig.report().into_text();
-        assert!(text.contains("view staleness"));
+        };
+        // One worker per tenant, and a capped pool.
+        for (threads, staleness) in [(6, 2), (2, 1)] {
+            let fig = run_opts(&FleetOptions {
+                transport: TransportConfig::WorkStealing { threads, staleness },
+                ..base.clone()
+            })
+            .expect("steal run");
+            assert_eq!(
+                fig.shared.transport.name,
+                format!("steal(threads={threads},staleness={staleness})")
+            );
+            assert!(fig.shared.transport.view_staleness.max() <= staleness);
+            assert!(fig.report().into_text().contains("view staleness"));
+        }
         // The BSP report stays free of transport telemetry lines.
+        let bsp = run_opts(&base).expect("bsp run");
         assert!(!bsp.report().into_text().contains("view staleness"));
-    }
-
-    #[test]
-    fn work_stealing_transport_runs_on_a_capped_pool_and_reports_staleness() {
-        let fig = run_opts(&FleetOptions {
-            seed: 3,
-            tenants: 6,
-            days: 1,
-            transport: TransportConfig::WorkStealing {
-                threads: 2,
-                staleness: 1,
-                adaptive: false,
-            },
-            ..Default::default()
-        })
-        .expect("steal run");
-        assert_eq!(fig.shared.transport.name, "steal(threads=2,staleness=1)");
-        assert!(fig.shared.transport.view_staleness.max() <= 1);
-        assert!(fig.report().into_text().contains("view staleness"));
     }
 
     #[test]
@@ -503,7 +483,10 @@ mod tests {
         };
         let clean = run_opts(&base).expect("fault-free run");
         let faulty = run_opts(&FleetOptions {
-            transport: TransportConfig::BoundedStaleness { staleness: 0 },
+            transport: TransportConfig::WorkStealing {
+                threads: 6,
+                staleness: 0,
+            },
             faults: Some(FaultSpec::parse("42").expect("valid spec")),
             checkpoint_every: 4,
             ..base
@@ -670,7 +653,10 @@ mod tests {
         assert!(err.to_string().contains("serving side"), "{err}");
         let err = run_opts(&FleetOptions {
             repo_remote: Some(addr),
-            transport: TransportConfig::BoundedStaleness { staleness: 0 },
+            transport: TransportConfig::WorkStealing {
+                threads: 6,
+                staleness: 0,
+            },
             faults: Some(FaultSpec::parse("42").expect("valid spec")),
             ..base
         })
@@ -722,7 +708,10 @@ mod tests {
             seed: 3,
             tenants: 6,
             days: 1,
-            transport: TransportConfig::BoundedStaleness { staleness: 0 },
+            transport: TransportConfig::WorkStealing {
+                threads: 6,
+                staleness: 0,
+            },
             checkpoint_every: 4,
             checkpoint_dir: Some(ckpt.to_string_lossy().into_owned()),
             snapshot_out: Some(snap.clone()),
@@ -771,7 +760,10 @@ mod tests {
             seed: 3,
             tenants: 2,
             days: 1,
-            transport: TransportConfig::BoundedStaleness { staleness: 0 },
+            transport: TransportConfig::WorkStealing {
+                threads: 2,
+                staleness: 0,
+            },
             checkpoint_dir: Some("unused-dir".into()),
             repo_remote: Some(addr),
             ..Default::default()

@@ -5,11 +5,10 @@
 //! cargo run -p dejavu-experiments --release -- fig6 fig8 --seed 7
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 40 --snapshot-out fleet.snap
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 8 --snapshot-in fleet.snap --churn
-//! cargo run -p dejavu-experiments --release -- fleet --transport async --staleness 2
 //! cargo run -p dejavu-experiments --release -- fleet --transport steal --threads 4 --staleness 1
 //! cargo run -p dejavu-experiments --release -- fleet --obs --obs-out fleet-obs.json
-//! cargo run -p dejavu-experiments --release -- fleet --transport async --faults 42 --checkpoint-every 8
-//! cargo run -p dejavu-experiments --release -- fleet --transport async --checkpoint-dir fleet-ckpt/
+//! cargo run -p dejavu-experiments --release -- fleet --transport steal --faults 42 --checkpoint-every 8
+//! cargo run -p dejavu-experiments --release -- fleet --transport steal --checkpoint-dir fleet-ckpt/
 //! cargo run -p dejavu-experiments --release -- fleet --repo remote:127.0.0.1:7117
 //! ```
 
@@ -26,9 +25,9 @@ fn main() {
         baselines: true,
         ..Default::default()
     };
-    // `--transport async|steal` defaults to 1 epoch of staleness;
-    // `--staleness` overrides it (0 bit-matches the BSP barrier) and
-    // `--threads` caps the work-stealing pool. The name itself goes through
+    // `--transport steal` (alias: `async`) defaults to 1 epoch of staleness
+    // on 4 workers; `--staleness` overrides the bound (0 bit-matches the BSP
+    // barrier) and `--threads` the pool size. The name itself goes through
     // the typed `TransportConfig::parse`, so an unknown backend is a clear
     // error listing the valid choices.
     let mut transport_name: Option<String> = None;
@@ -57,7 +56,7 @@ fn main() {
             match it.next() {
                 Some(v) => transport_name = Some(v.clone()),
                 None => {
-                    eprintln!("--transport needs a backend name ('bsp', 'async' or 'steal')");
+                    eprintln!("--transport needs a backend name ('bsp' or 'steal')");
                     std::process::exit(2);
                 }
             }

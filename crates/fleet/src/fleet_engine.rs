@@ -15,15 +15,12 @@
 //!   outboxes **in tenant order** and applies them, then runs TTL eviction.
 //!   Mid-epoch the shared store never changes, so the fleet result is a pure
 //!   function of the scenario — independent of thread count or OS scheduling.
-//! * [`TransportConfig::BoundedStaleness`] — free-running tenant threads
-//!   whose views trail their shard's commit frontier by at most `K` epochs.
-//!   `K = 0` bit-matches the barrier; `K > 0` trades bitwise result
-//!   reproducibility for pipeline parallelism.
-//! * [`TransportConfig::WorkStealing`] — the same consistency model on a
-//!   fixed pool of worker threads pulling per-epoch tenant tasks from a
-//!   shared deque: 1000+-tenant fleets without 1000 threads. Results are
-//!   invariant to the thread cap; `K = 0` bit-matches the barrier (fuzzed
-//!   across scenarios in `tests/differential.rs`).
+//! * [`TransportConfig::WorkStealing`] — a fixed pool of worker threads
+//!   pulling per-epoch tenant tasks from a shared deque; tenant views trail
+//!   their shard's commit frontier by at most `K` epochs. Results are
+//!   invariant to the thread count; `K = 0` bit-matches the barrier (fuzzed
+//!   across scenarios in `tests/differential.rs`), `K > 0` trades bitwise
+//!   result reproducibility for pipeline parallelism.
 //!
 //! # Elastic tenancy
 //!
@@ -582,43 +579,37 @@ mod tests {
         // worker's buffer ends a run partly filled, exactly full and just
         // flushed; one worker (every report through one buffer) and two;
         // K = 0 (every tenant parks after every epoch) and K = 2 (workers
-        // run tenants ahead); the adaptive gate on and off. Each run must
-        // finish, and the K = 0 ones must match the barrier bit for bit.
+        // run tenants ahead). Each run must finish, and the K = 0 ones must
+        // match the barrier bit for bit.
         for tenants in [REPORT_BATCH_CAP - 1, REPORT_BATCH_CAP, REPORT_BATCH_CAP + 1] {
             let mut scenario = crate::scenario::standard_fleet(tenants, 1, 11);
             scenario.tick = SimDuration::from_secs(600.0);
             let bsp = FleetEngine::new(scenario.clone(), FleetConfig::default()).run();
             for threads in [1, 2] {
                 for staleness in [0, 2] {
-                    for adaptive in [false, true] {
-                        let transport = TransportConfig::WorkStealing {
-                            threads,
-                            staleness,
-                            adaptive,
-                        };
-                        let label = format!("{tenants} tenants {transport:?}");
-                        let engine = FleetEngine::new(
-                            scenario.clone(),
-                            FleetConfig {
-                                transport,
-                                ..Default::default()
-                            },
-                        );
-                        let report = within(WATCHDOG, label.clone(), move || engine.run());
-                        assert_eq!(report.tenants_failed(), 0, "{label}");
-                        assert_eq!(report.hit_rate_curve.len(), bsp.epochs, "{label}");
-                        assert!(
-                            report.transport.view_staleness.max() <= staleness,
-                            "{label}"
-                        );
-                        assert_eq!(
-                            report.transport.view_staleness.total(),
-                            bsp.transport.view_staleness.total(),
-                            "{label}: one observation per tenant-epoch"
-                        );
-                        if staleness == 0 {
-                            assert_matches_barrier(&bsp, &report, &label);
-                        }
+                    let transport = TransportConfig::WorkStealing { threads, staleness };
+                    let label = format!("{tenants} tenants {transport:?}");
+                    let engine = FleetEngine::new(
+                        scenario.clone(),
+                        FleetConfig {
+                            transport,
+                            ..Default::default()
+                        },
+                    );
+                    let report = within(WATCHDOG, label.clone(), move || engine.run());
+                    assert_eq!(report.tenants_failed(), 0, "{label}");
+                    assert_eq!(report.hit_rate_curve.len(), bsp.epochs, "{label}");
+                    assert!(
+                        report.transport.view_staleness.max() <= staleness,
+                        "{label}"
+                    );
+                    assert_eq!(
+                        report.transport.view_staleness.total(),
+                        bsp.transport.view_staleness.total(),
+                        "{label}: one observation per tenant-epoch"
+                    );
+                    if staleness == 0 {
+                        assert_matches_barrier(&bsp, &report, &label);
                     }
                 }
             }
@@ -657,7 +648,6 @@ mod tests {
                 transport: TransportConfig::WorkStealing {
                     threads: 2,
                     staleness: 0,
-                    adaptive: false,
                 },
                 faults: Some(faults),
                 ..Default::default()
@@ -787,11 +777,16 @@ mod tests {
         let steal = |staleness| TransportConfig::WorkStealing {
             threads: 2,
             staleness,
-            adaptive: false,
         };
         for (tenants, transport) in [
             (3, TransportConfig::Bsp),
-            (3, TransportConfig::BoundedStaleness { staleness: 1 }),
+            (
+                3,
+                TransportConfig::WorkStealing {
+                    threads: 3,
+                    staleness: 1,
+                },
+            ),
             (3, steal(0)),
             (REPORT_BATCH_CAP + 3, steal(0)),
             (REPORT_BATCH_CAP + 3, steal(2)),
@@ -958,32 +953,17 @@ mod tests {
     }
 
     #[test]
-    fn bounded_staleness_zero_matches_the_barrier_on_a_tiny_fleet() {
-        let bsp = FleetEngine::new(tiny_scenario(3), FleetConfig::default()).run();
-        let async0 = FleetEngine::new(
-            tiny_scenario(3),
-            FleetConfig {
-                transport: TransportConfig::BoundedStaleness { staleness: 0 },
-                ..Default::default()
-            },
-        )
-        .run();
-        assert_eq!(async0.transport.name, "async(staleness=0)");
-        assert_matches_barrier(&bsp, &async0, "async0");
-        assert_eq!(async0.transport.view_staleness.max(), 0);
-    }
-
-    #[test]
     fn work_stealing_zero_staleness_matches_the_barrier_at_any_thread_cap() {
+        // Four threads is one worker per tenant (nobody ever waits for a
+        // worker); eight exercises the clamp to the tenant count.
         let bsp = FleetEngine::new(tiny_scenario(4), FleetConfig::default()).run();
-        for threads in [1, 3, 8] {
+        for threads in [1, 3, 4, 8] {
             let steal = FleetEngine::new(
                 tiny_scenario(4),
                 FleetConfig {
                     transport: TransportConfig::WorkStealing {
                         threads,
                         staleness: 0,
-                        adaptive: false,
                     },
                     ..Default::default()
                 },
@@ -999,48 +979,29 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_respects_its_bound_on_a_capped_pool() {
+    fn work_stealing_respects_its_bound_and_reports_telemetry() {
         let k = 2;
-        let report = FleetEngine::new(
-            tiny_scenario(5),
-            FleetConfig {
-                transport: TransportConfig::WorkStealing {
-                    threads: 2,
-                    staleness: k,
-                    adaptive: false,
+        // A capped pool, and one worker per tenant.
+        for (tenants, threads) in [(5, 2), (4, 4)] {
+            let report = FleetEngine::new(
+                tiny_scenario(tenants),
+                FleetConfig {
+                    transport: TransportConfig::WorkStealing {
+                        threads,
+                        staleness: k,
+                    },
+                    ..Default::default()
                 },
-                ..Default::default()
-            },
-        )
-        .run();
-        assert!(report.transport.view_staleness.max() <= k);
-        assert_eq!(
-            report.transport.view_staleness.total(),
-            (5 * report.epochs) as u64
-        );
-        assert!(report.transport.reuse_staleness.max() <= k);
-        assert_eq!(report.hit_rate_curve.len(), report.epochs);
-        assert!(report.total_fleet_reuses() > 0);
-    }
-
-    #[test]
-    fn bounded_staleness_respects_its_bound_and_reports_telemetry() {
-        let k = 2;
-        let report = FleetEngine::new(
-            tiny_scenario(4),
-            FleetConfig {
-                transport: TransportConfig::BoundedStaleness { staleness: k },
-                ..Default::default()
-            },
-        )
-        .run();
-        assert!(report.transport.view_staleness.max() <= k);
-        assert_eq!(
-            report.transport.view_staleness.total(),
-            (4 * report.epochs) as u64
-        );
-        assert!(report.transport.reuse_staleness.max() <= k);
-        assert_eq!(report.hit_rate_curve.len(), report.epochs);
-        assert!(report.total_fleet_reuses() > 0);
+            )
+            .run();
+            assert!(report.transport.view_staleness.max() <= k);
+            assert_eq!(
+                report.transport.view_staleness.total(),
+                (tenants * report.epochs) as u64
+            );
+            assert!(report.transport.reuse_staleness.max() <= k);
+            assert_eq!(report.hit_rate_curve.len(), report.epochs);
+            assert!(report.total_fleet_reuses() > 0);
+        }
     }
 }

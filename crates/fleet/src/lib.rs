@@ -20,11 +20,10 @@
 //!   uses: immediate local overlay, transport-buffered publishes.
 //! * [`transport`] — the pluggable commit-transport layer: the
 //!   [`CommitTransport`] trait with the lock-step [`BspBarrier`] backend
-//!   (bit-deterministic for any worker count), the free-running
-//!   [`BoundedStaleness`] backend (per-tenant threads) and the
-//!   [`WorkStealing`] pool (a fixed thread cap over a shared deque) — the
-//!   asynchronous pair sharing per-shard commit frontiers, views at most
-//!   `K` epochs stale, `K = 0` bit-matching the barrier at any thread cap.
+//!   (bit-deterministic for any worker count) and the asynchronous
+//!   [`WorkStealing`] pool (a fixed number of workers over a shared deque,
+//!   per-shard commit frontiers, views at most `K` epochs stale, `K = 0`
+//!   bit-matching the barrier at any thread count).
 //! * [`scenario`] — fleet descriptions: diurnal Cassandra fleets, spike
 //!   storms, sine sweeps, interference-heavy co-location, SPECweb
 //!   contingents — plus each tenant's barrier-aligned [`EpochWindow`].
@@ -86,7 +85,7 @@ pub use snapshot::{
 };
 pub use tenant_view::TenantRepoView;
 pub use transport::{
-    BoundedStaleness, BspBarrier, CommitTransport, FaultSummary, FleetContext, FleetHarness,
-    Outbox, StalenessHistogram, TenantHandle, TransportConfig, TransportOutcome, TransportSummary,
+    BspBarrier, CommitTransport, FaultSummary, FleetContext, FleetHarness, Outbox,
+    StalenessHistogram, TenantHandle, TransportConfig, TransportOutcome, TransportSummary,
     WorkStealing,
 };

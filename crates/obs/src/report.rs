@@ -72,18 +72,16 @@ pub struct ObsReport {
 
 /// Counters whose values depend on thread scheduling, not the simulation.
 /// `scratch_bytes_saved` is here because capacity reuse depends on the order
-/// buffers fill, which the async transports leave to arrival order. The
+/// buffers fill, which the async transport leaves to arrival order. The
 /// `durable_*` trio is here because fold sizes and byte counts track the
 /// commit interleaving, which K > 0 runs leave to scheduling.
 /// `report_batches` is here because a pool worker's batch ends when its
 /// deque happens to run dry.
-const SCHEDULING_COUNTERS: [&str; 10] = [
+const SCHEDULING_COUNTERS: [&str; 8] = [
     "durable_bytes",
     "durable_folds",
     "durable_segments",
     "parks",
-    "pool_grows",
-    "pool_shrinks",
     "report_batches",
     "scratch_bytes_saved",
     "steals",
@@ -91,7 +89,7 @@ const SCHEDULING_COUNTERS: [&str; 10] = [
 ];
 
 /// Event kinds whose counts are simulation-determined under BSP. Fault and
-/// recovery kinds are excluded: they only occur on the async transports,
+/// recovery kinds are excluded: they only occur on the async transport,
 /// where the stable rendering makes no bit-stability promise.
 const STABLE_EVENT_KINDS: [&str; 6] = [
     "epoch_begin",
@@ -120,8 +118,6 @@ impl ObsReport {
             ("memo_hits".to_string(), metrics.memo_hits.get()),
             ("memo_misses".to_string(), metrics.memo_misses.get()),
             ("parks".to_string(), metrics.parks.get()),
-            ("pool_grows".to_string(), metrics.pool_grows.get()),
-            ("pool_shrinks".to_string(), metrics.pool_shrinks.get()),
             ("recoveries".to_string(), metrics.recoveries.get()),
             ("replayed_epochs".to_string(), metrics.replayed_epochs.get()),
             ("report_batches".to_string(), metrics.report_batches.get()),

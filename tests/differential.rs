@@ -1,10 +1,10 @@
 //! Cross-transport differential scenario fuzzer.
 //!
-//! The fleet now has three commit transports — the lock-step BSP barrier,
-//! the bounded-staleness one-thread-per-tenant backend, and the
-//! work-stealing pool — that all promise the same thing: at `staleness = 0`
-//! a run is **bit-identical** to the barrier, for any thread cap, on any
-//! scenario. The only way to trust that promise is the Anvil discipline:
+//! The fleet has two commit transports — the lock-step BSP barrier and the
+//! bounded-staleness work-stealing pool — and the pool promises that at
+//! `staleness = 0` a run is **bit-identical** to the barrier, for any thread
+//! count (one worker per tenant included), on any scenario. The only way to
+//! trust that promise is the Anvil discipline:
 //! generate scenarios covering the whole configuration space (tenant counts,
 //! family mixes, churn windows, TTLs, shard counts, snapshot warm-starts),
 //! run every transport over each one, and check the invariant.
@@ -16,18 +16,14 @@
 //!
 //! Invariants pinned, per fuzzed scenario:
 //!
-//! * **K = 0 bit-match.** BSP, `BoundedStaleness(0)` and `WorkStealing` at
-//!   thread caps 1/2/4 produce byte-identical reports — every per-tenant
+//! * **K = 0 bit-match.** BSP and `WorkStealing` at one worker per tenant
+//!   and at thread caps 1/2/4 produce byte-identical reports — every per-tenant
 //!   result, the hit-rate curve, and the shared repository's entry/anchor
 //!   counts and statistics (hits, misses, insertions, **evictions** — the
 //!   eviction equality is what pins the frontier-aware per-shard TTL sweep).
 //! * **Thread-cap invariance.** The work-stealing caps are compared to each
 //!   other, not just to BSP, so a cap-dependent divergence cannot hide
 //!   behind a loose reference.
-//! * **Adaptive-cap invariance.** The adaptive pool — whose governor moves
-//!   the active-worker cap between epoch folds — bit-matches the fixed pool
-//!   on every fuzzed scenario, and obeys the same staleness bound for
-//!   `K > 0`: adaptation is a wall-time knob, never a results knob.
 //! * **Staleness bound for K > 0.** View- and reuse-staleness histograms
 //!   never exceed the bound, one view observation is recorded per
 //!   tenant-epoch actually stepped, and the schedule-determined fields
@@ -85,26 +81,30 @@ fn run_warm(
     report
 }
 
-/// Every transport at `staleness = 0` — the barrier, one thread per tenant,
-/// and the work-stealing pool at each cap — produces a bit-identical run on
-/// every fuzzed scenario, and the staleness telemetry agrees exactly.
+/// Every transport at `staleness = 0` — the barrier and the work-stealing
+/// pool at one worker per tenant and at each cap — produces a bit-identical
+/// run on every fuzzed scenario, and the staleness telemetry agrees exactly.
 fn assert_zero_staleness_family_matches(
     bsp: &FleetReport,
     scenario: &Scenario,
-    repo: &SharedRepoConfig,
     runner: impl Fn(TransportConfig) -> FleetReport,
     label: &str,
 ) {
-    let _ = (scenario, repo);
-    let async0 = runner(TransportConfig::BoundedStaleness { staleness: 0 });
-    assert_reports_bit_match(bsp, &async0, &format!("{label} async0"));
-    assert_eq!(async0.transport.view_staleness.max(), 0, "{label} async0");
+    let per_tenant = runner(TransportConfig::WorkStealing {
+        threads: scenario.tenants.len(),
+        staleness: 0,
+    });
+    assert_reports_bit_match(bsp, &per_tenant, &format!("{label} per_tenant"));
+    assert_eq!(
+        per_tenant.transport.view_staleness.max(),
+        0,
+        "{label} per_tenant"
+    );
     let mut steal_runs = Vec::new();
     for threads in THREAD_CAPS {
         let steal = runner(TransportConfig::WorkStealing {
             threads,
             staleness: 0,
-            adaptive: false,
         });
         assert_reports_bit_match(bsp, &steal, &format!("{label} steal{threads}T"));
         assert_eq!(
@@ -114,7 +114,7 @@ fn assert_zero_staleness_family_matches(
         );
         assert_eq!(
             steal.transport.view_staleness.total(),
-            async0.transport.view_staleness.total(),
+            per_tenant.transport.view_staleness.total(),
             "{label} steal{threads}T telemetry totals"
         );
         steal_runs.push((threads, steal));
@@ -126,22 +126,6 @@ fn assert_zero_staleness_family_matches(
         let (tb, b) = &window[1];
         assert_reports_bit_match(a, b, &format!("{label} steal {ta}T vs {tb}T"));
     }
-    // Adaptive-cap invariance: the governor moves the active-worker cap
-    // between epoch folds, but cap-invariance promises that is a pure
-    // wall-time knob — the adaptive pool must stay bit-identical to the
-    // fixed pool (and hence the barrier) at the same configured size.
-    let max_threads = *THREAD_CAPS.last().expect("thread caps");
-    let adaptive = runner(TransportConfig::WorkStealing {
-        threads: max_threads,
-        staleness: 0,
-        adaptive: true,
-    });
-    assert_reports_bit_match(bsp, &adaptive, &format!("{label} steal-adaptive"));
-    assert_eq!(
-        adaptive.transport.view_staleness.max(),
-        0,
-        "{label} steal-adaptive"
-    );
 }
 
 #[test]
@@ -154,7 +138,6 @@ fn fuzzed_scenarios_bit_match_across_transports_at_zero_staleness() {
         assert_zero_staleness_family_matches(
             &bsp,
             &scenario,
-            &repo,
             |transport| run(&scenario, &repo, transport),
             &format!("case {case}"),
         );
@@ -196,7 +179,6 @@ fn fuzzed_warm_starts_bit_match_across_transports_at_zero_staleness() {
         assert_zero_staleness_family_matches(
             &bsp,
             &scenario,
-            &seed_repo,
             |transport| run_warm(&scenario, &seed_repo, transport, &snapshot),
             &format!("warm case {case}"),
         );
@@ -214,7 +196,10 @@ fn staleness_bound_holds_and_schedule_fields_stay_deterministic_for_positive_k()
         let mut runs = vec![run(
             &scenario,
             &repo,
-            TransportConfig::BoundedStaleness { staleness: k },
+            TransportConfig::WorkStealing {
+                threads: scenario.tenants.len(),
+                staleness: k,
+            },
         )];
         for threads in [1, 3] {
             runs.push(run(
@@ -223,21 +208,9 @@ fn staleness_bound_holds_and_schedule_fields_stay_deterministic_for_positive_k()
                 TransportConfig::WorkStealing {
                     threads,
                     staleness: k,
-                    adaptive: false,
                 },
             ));
         }
-        // The adaptive pool obeys the same staleness bound and the same
-        // schedule-determined fields — the cap governor cannot loosen K.
-        runs.push(run(
-            &scenario,
-            &repo,
-            TransportConfig::WorkStealing {
-                threads: 3,
-                staleness: k,
-                adaptive: true,
-            },
-        ));
         for report in &runs {
             let label = format!("case {case} k={k} {}", report.transport.name);
             assert!(
@@ -316,7 +289,6 @@ fn frontier_aware_ttl_sweep_cannot_resurrect_deferred_stale_entries() {
         assert_zero_staleness_family_matches(
             &bsp,
             &scenario,
-            &repo,
             |transport| run(&scenario, &repo, transport),
             &format!("ttl case {case}"),
         );
@@ -370,12 +342,11 @@ fn obs_recording_is_invisible_to_results_across_transports() {
             "obs case {case}: the enabled recorder saw no epochs"
         );
         // Deterministically alternate the toggle across the family members
-        // (async0, steal at each thread cap), seeded by the case index.
+        // (per_tenant, steal at each thread cap), seeded by the case index.
         let draws = Cell::new(0u64);
         assert_zero_staleness_family_matches(
             &bsp,
             &scenario,
-            &repo,
             |transport| {
                 let i = draws.get();
                 draws.set(i + 1);
@@ -395,7 +366,6 @@ fn obs_recording_is_invisible_to_results_across_transports() {
     let steal = TransportConfig::WorkStealing {
         threads: 2,
         staleness: 0,
-        adaptive: false,
     };
     let (off, _) = run_with_obs(&scenario, &repo, steal, false);
     let (on, recorder) = run_with_obs(&scenario, &repo, steal, true);

@@ -1,6 +1,6 @@
 //! Seeded fault-schedule fuzzer for the fleet's fault model.
 //!
-//! PR 7 gave the async transports a deterministic fault injector
+//! PR 7 gave the async transport a deterministic fault injector
 //! ([`dejavu::fleet::FaultSpec`]) and the recovery machinery to survive it:
 //! delta-chain checkpoints between epoch barriers, tenant restart with
 //! deterministic epoch replay, committer failover that re-assembles
@@ -20,7 +20,7 @@
 //!
 //! * **K = 0 convergence under faults.** For ≥ 64 distinct seeded schedules
 //!   (every fault kind alone, all kinds together, and a crash/restart/loss
-//!   mix — across cases and both async transports), the faulty run
+//!   mix — across cases and both pool shapes), the faulty run
 //!   bit-matches the fault-free barrier: per-tenant results, the hit-rate
 //!   curve, and the repository's entries/anchors/stats/shard stats
 //!   (evictions included).
@@ -90,16 +90,13 @@ fn fault_specs(case: u64) -> Vec<FaultSpec> {
     specs
 }
 
-/// The two async transports every schedule is driven through.
-fn async_transports() -> [TransportConfig; 2] {
-    [
-        TransportConfig::BoundedStaleness { staleness: 0 },
-        TransportConfig::WorkStealing {
-            threads: 2,
-            staleness: 0,
-            adaptive: false,
-        },
-    ]
+/// The two pool shapes every schedule is driven through: one worker per
+/// tenant (nobody ever waits for a worker) and a pool of two.
+fn async_transports(tenants: usize) -> [TransportConfig; 2] {
+    [tenants, 2].map(|threads| TransportConfig::WorkStealing {
+        threads,
+        staleness: 0,
+    })
 }
 
 /// Checks the summary's internal consistency: the injected total covers the
@@ -163,7 +160,7 @@ fn k0_fault_schedules_converge_bit_identical_to_fault_free_bsp() {
         let checkpoint_every = [0, 2, 5, 8][case as usize % 4];
         let mut injected_all_kinds = 0;
         for (s, spec) in fault_specs(case).into_iter().enumerate() {
-            for transport in async_transports() {
+            for transport in async_transports(scenario.tenants.len()) {
                 let label = format!("case {case} spec {s} ({}) {transport:?}", spec.render());
                 let faulty = run_faulty(
                     &scenario,
@@ -203,7 +200,7 @@ fn checkpointing_without_faults_is_invisible_and_summarized() {
             },
         )
         .run();
-        for transport in async_transports() {
+        for transport in async_transports(scenario.tenants.len()) {
             let label = format!("ckpt case {case} {transport:?}");
             let report = run_faulty(&scenario, &repo, transport, None, 3, None);
             assert_reports_bit_match(&bsp, &report, &label);
@@ -246,7 +243,7 @@ fn long_churn_runs_keep_delta_chains_bounded() {
     )
     .run();
     let spec = FaultSpec::with_kinds(D_SEED ^ 0xC0FFEE, &[FaultKind::TenantCrash]);
-    for transport in async_transports() {
+    for transport in async_transports(scenario.tenants.len()) {
         let label = format!("bounded chain {transport:?}");
         let faulty = run_faulty(&scenario, &repo, transport, Some(spec), 2, None);
         assert_reports_bit_match(&bsp, &faulty, &label);
@@ -288,11 +285,13 @@ fn k_positive_fault_runs_hold_staleness_and_liveness_bounds() {
         .run();
         let spec = FaultSpec::all(D_SEED ^ (case << 24));
         for transport in [
-            TransportConfig::BoundedStaleness { staleness: k },
+            TransportConfig::WorkStealing {
+                threads: scenario.tenants.len(),
+                staleness: k,
+            },
             TransportConfig::WorkStealing {
                 threads: 3,
                 staleness: k,
-                adaptive: false,
             },
         ] {
             let label = format!("case {case} k={k} {transport:?}");
@@ -334,7 +333,7 @@ fn obs_recording_is_invisible_to_fault_runs() {
         let scenario = fuzz_scenario(rng, case);
         let repo = fuzz_repo(rng);
         let spec = FaultSpec::all(D_SEED ^ (case << 32));
-        for transport in async_transports() {
+        for transport in async_transports(scenario.tenants.len()) {
             let label = format!("obs fault case {case} {transport:?}");
             let off = run_faulty(&scenario, &repo, transport, Some(spec), 3, None);
             let recorder = Recorder::enabled();

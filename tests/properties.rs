@@ -932,7 +932,16 @@ fn transport_scenario(seed: u64) -> dejavu::fleet::Scenario {
         .build()
 }
 
-/// `BoundedStaleness(0)` bit-matches the BSP barrier: with a zero bound no
+/// The work-stealing pool at one worker per tenant, so no tenant ever waits
+/// for a worker — the freest schedule the staleness bound allows.
+fn pool_per_tenant(scenario: &dejavu::fleet::Scenario, staleness: usize) -> TransportConfig {
+    TransportConfig::WorkStealing {
+        threads: scenario.tenants.len(),
+        staleness,
+    }
+}
+
+/// Bounded staleness at `K = 0` bit-matches the BSP barrier: with a zero bound no
 /// tenant may enter an epoch before every prior epoch is fully committed, so
 /// the store is frozen whenever anyone reads it — exactly the barrier's
 /// schedule, modulo which threads execute it.
@@ -950,7 +959,7 @@ fn bounded_staleness_zero_bit_matches_the_bsp_barrier() {
             .run()
         };
         let bsp = run(TransportConfig::Bsp);
-        let async0 = run(TransportConfig::BoundedStaleness { staleness: 0 });
+        let async0 = run(pool_per_tenant(&transport_scenario(seed), 0));
         assert_reports_bit_match(&bsp, &async0, &format!("seed {seed}"));
         // The zero-bound schedule also never observed a stale view.
         assert_eq!(async0.transport.view_staleness.max(), 0, "seed {seed}");
@@ -962,17 +971,19 @@ fn bounded_staleness_zero_bit_matches_the_bsp_barrier() {
     }
 }
 
-/// `BoundedStaleness(K)` never serves a view staler than `K` epochs: the
+/// Bounded staleness at `K` never serves a view staler than `K` epochs: the
 /// observed-staleness histogram (one observation per tenant-epoch, recorded
 /// when the tenant enters the epoch) never exceeds the bound, and neither
 /// does the staleness of any view that produced a committed reuse.
 #[test]
 fn bounded_staleness_never_exceeds_its_bound() {
     for k in [0usize, 1, 3] {
+        let scenario = transport_scenario(13);
+        let transport = pool_per_tenant(&scenario, k);
         let report = FleetEngine::new(
-            transport_scenario(13),
+            scenario,
             FleetConfig {
-                transport: TransportConfig::BoundedStaleness { staleness: k },
+                transport,
                 ..Default::default()
             },
         )
