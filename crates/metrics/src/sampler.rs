@@ -12,6 +12,7 @@ use crate::model::{MetricModel, WorkloadPoint};
 use crate::signature::WorkloadSignature;
 use dejavu_simcore::{SimDuration, SimRng};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// Sampler configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,22 +58,41 @@ impl Default for SamplerConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricSampler {
-    model: MetricModel,
+    /// Immutable once built, so samplers over the same model share it.
+    model: Arc<MetricModel>,
     config: SamplerConfig,
     /// Catalogue names, shared once with every signature this sampler emits.
-    names: std::sync::Arc<[String]>,
+    names: Arc<[String]>,
 }
 
 impl MetricSampler {
-    /// Creates a sampler.
+    /// Creates a sampler over its own `model`.
     ///
     /// # Panics
     ///
     /// Panics if the window is zero or `hpc_registers` is zero.
     pub fn new(model: MetricModel, config: SamplerConfig) -> Self {
+        let names = model.catalog().names().into();
+        Self::over(Arc::new(model), names, config)
+    }
+
+    /// Creates a sampler over the standard model ([`MetricModel::default`]).
+    /// The model and its name list are built once per process and shared by
+    /// every sampler made here — a fleet holds one per tenant, all identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is zero or `hpc_registers` is zero.
+    pub fn standard(config: SamplerConfig) -> Self {
+        static STANDARD: OnceLock<MetricSampler> = OnceLock::new();
+        let shared = STANDARD
+            .get_or_init(|| MetricSampler::new(MetricModel::default(), SamplerConfig::default()));
+        Self::over(Arc::clone(&shared.model), Arc::clone(&shared.names), config)
+    }
+
+    fn over(model: Arc<MetricModel>, names: Arc<[String]>, config: SamplerConfig) -> Self {
         assert!(!config.window.is_zero(), "sampling window must be positive");
         assert!(config.hpc_registers > 0, "need at least one HPC register");
-        let names = model.catalog().names().into();
         MetricSampler {
             model,
             config,
@@ -113,11 +133,7 @@ impl MetricSampler {
             let noisy = rng.normal(expected, expected.abs() * rel_noise).max(0.0);
             raw.push(noisy * secs);
         }
-        WorkloadSignature::from_raw_shared(
-            std::sync::Arc::clone(&self.names),
-            raw,
-            self.config.window,
-        )
+        WorkloadSignature::from_raw_shared(Arc::clone(&self.names), raw, self.config.window)
     }
 
     /// Collects `trials` signatures at the same operating point (the repeated
@@ -145,6 +161,21 @@ mod tests {
                 ..Default::default()
             },
         )
+    }
+
+    #[test]
+    fn standard_samplers_share_one_model_and_sample_like_a_private_one() {
+        let a = MetricSampler::standard(SamplerConfig::default());
+        let b = MetricSampler::standard(SamplerConfig::default());
+        assert!(std::ptr::eq(a.model(), b.model()), "one model per process");
+        assert!(Arc::ptr_eq(&a.names, &b.names), "one name list per process");
+        let private = sampler(0.0);
+        assert_eq!(a, private);
+        let p = WorkloadPoint::new(ServiceKind::Cassandra, 0.6, 0.05);
+        assert_eq!(
+            a.sample(&p, &mut SimRng::seed_from_u64(9)),
+            private.sample(&p, &mut SimRng::seed_from_u64(9))
+        );
     }
 
     #[test]

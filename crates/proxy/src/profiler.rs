@@ -1,7 +1,7 @@
 //! The profiling environment: a clone VM that serves the duplicated requests
 //! in isolation and collects workload signatures.
 
-use dejavu_metrics::{MetricModel, MetricSampler, SamplerConfig, WorkloadPoint, WorkloadSignature};
+use dejavu_metrics::{MetricSampler, SamplerConfig, WorkloadPoint, WorkloadSignature};
 use dejavu_services::service::EvalContext;
 use dejavu_services::{PerfSample, ServiceModel};
 use dejavu_simcore::{SimDuration, SimRng, SimTime};
@@ -72,7 +72,7 @@ impl Profiler {
             config.clone_capacity_units > 0.0,
             "clone capacity must be positive"
         );
-        let sampler = MetricSampler::new(MetricModel::default(), config.sampler.clone());
+        let sampler = MetricSampler::standard(config.sampler.clone());
         Profiler { config, sampler }
     }
 

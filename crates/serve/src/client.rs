@@ -14,7 +14,7 @@
 //! repository cannot fail — so a wire failure mid-run panics with the
 //! typed [`WireError`] in the message rather than silently diverging.
 
-use crate::protocol::{read_frame, write_frame, Request, Response, WireError};
+use crate::protocol::{Framed, Request, Response, WireError};
 use dejavu_fleet::{PendingOp, RepositoryClient, ResolveMemo, ShardStats, SharedEntry, TenantId};
 use dejavu_simcore::SimTime;
 use std::io::{Read, Write};
@@ -27,6 +27,9 @@ enum Conn {
     Tcp(TcpStream),
     #[cfg(unix)]
     Unix(std::os::unix::net::UnixStream),
+    /// In-memory, call-counting: the syscall-count test's socket.
+    #[cfg(test)]
+    Duplex(crate::testing::Duplex),
 }
 
 impl Read for Conn {
@@ -35,6 +38,8 @@ impl Read for Conn {
             Conn::Tcp(s) => s.read(buf),
             #[cfg(unix)]
             Conn::Unix(s) => s.read(buf),
+            #[cfg(test)]
+            Conn::Duplex(s) => s.read(buf),
         }
     }
 }
@@ -45,6 +50,8 @@ impl Write for Conn {
             Conn::Tcp(s) => s.write(buf),
             #[cfg(unix)]
             Conn::Unix(s) => s.write(buf),
+            #[cfg(test)]
+            Conn::Duplex(s) => s.write(buf),
         }
     }
 
@@ -53,6 +60,8 @@ impl Write for Conn {
             Conn::Tcp(s) => s.flush(),
             #[cfg(unix)]
             Conn::Unix(s) => s.flush(),
+            #[cfg(test)]
+            Conn::Duplex(s) => s.flush(),
         }
     }
 }
@@ -64,7 +73,7 @@ impl Write for Conn {
 /// read path is on the far side).
 #[derive(Debug)]
 pub struct RemoteRepository {
-    conn: Mutex<Conn>,
+    conn: Mutex<Framed<Conn>>,
     /// Cached from `HelloOk`: the shard count is immutable for a
     /// repository's lifetime, and shard routing is on every hot path.
     shard_count: usize,
@@ -85,9 +94,18 @@ impl RemoteRepository {
         Self::handshake(Conn::Unix(stream), tenant)
     }
 
-    fn handshake(mut conn: Conn, tenant: TenantId) -> Result<Self, WireError> {
-        write_frame(&mut conn, &Request::Hello { tenant }.encode())?;
-        match Self::read_response(&mut conn)? {
+    /// Opens a session for `tenant` over one end of an in-memory duplex.
+    #[cfg(test)]
+    pub(crate) fn connect_duplex(
+        end: crate::testing::Duplex,
+        tenant: TenantId,
+    ) -> Result<Self, WireError> {
+        Self::handshake(Conn::Duplex(end), tenant)
+    }
+
+    fn handshake(conn: Conn, tenant: TenantId) -> Result<Self, WireError> {
+        let mut conn = Framed::new(conn);
+        match Self::round_trip(&mut conn, &Request::Hello { tenant })? {
             Response::HelloOk { shard_count } => Ok(RemoteRepository {
                 conn: Mutex::new(conn),
                 shard_count: shard_count as usize,
@@ -97,11 +115,18 @@ impl RemoteRepository {
         }
     }
 
-    fn read_response(conn: &mut Conn) -> Result<Response, WireError> {
-        let body = read_frame(conn)?.ok_or(WireError::Truncated {
+    /// Sends `request` as one frame and decodes the one frame that answers
+    /// it.
+    fn round_trip(conn: &mut Framed<Conn>, request: &Request) -> Result<Response, WireError> {
+        conn.send(|buf| request.encode_into(buf))?;
+        let body = conn.recv()?.ok_or(WireError::Truncated {
             context: "response frame",
         })?;
-        match Response::decode(&body)? {
+        let response = Response::decode(body);
+        // The client idles between calls: hand back what a large reply (a
+        // snapshot) grew the read buffer by now, not at the next call.
+        conn.release();
+        match response? {
             Response::Error { message } => Err(WireError::Remote { message }),
             response => Ok(response),
         }
@@ -110,8 +135,7 @@ impl RemoteRepository {
     /// One request/response round trip.
     fn call(&self, request: &Request) -> Result<Response, WireError> {
         let mut conn = self.conn.lock().expect("remote connection poisoned");
-        write_frame(&mut *conn, &request.encode())?;
-        Self::read_response(&mut conn)
+        Self::round_trip(&mut conn, request)
     }
 
     /// Like [`call`](Self::call), but a failure is fatal: the engine's

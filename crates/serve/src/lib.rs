@@ -9,7 +9,9 @@
 //!
 //! - [`protocol`] — the frame codec and typed [`WireError`]s: lookup,
 //!   peek, publish, commit-batch, eviction sweeps, stats, and snapshot
-//!   round trips, all bit-exact (`f64` travels as raw bits).
+//!   round trips, all bit-exact (`f64` travels as raw bits) — and
+//!   [`protocol::Framed`], the one path every frame takes on either end:
+//!   one `write` per frame out, buffered in-place reads in.
 //! - [`server`] — the daemon: thread-per-connection sessions over the
 //!   repository's wait-free read path, admission control
 //!   ([`ServeConfig::max_sessions`]), and per-tenant usage accounting.
@@ -29,6 +31,8 @@
 pub mod client;
 pub mod protocol;
 pub mod server;
+#[cfg(test)]
+mod testing;
 
 pub use client::RemoteRepository;
 pub use protocol::{Request, Response, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};

@@ -10,7 +10,11 @@
 //! `len` counts everything after the prefix (version + opcode + payload) and
 //! is bounded by [`MAX_FRAME_LEN`]; a larger prefix is rejected as
 //! [`WireError::Oversized`] *before* any allocation, so a hostile or corrupt
-//! prefix cannot balloon server memory. All integers are little-endian;
+//! prefix cannot balloon server memory. Both ends of a connection move
+//! their frames through one [`Framed`] — the only code that reads or writes
+//! a length prefix: a frame leaves in one `write`, and reads are buffered,
+//! so a frame (and any sent right behind it) arrives in one `read` and is
+//! decoded in place. All integers are little-endian;
 //! floating-point values travel as `f64::to_bits` so a signature or
 //! timestamp arrives **bit-exact** — the wire-vs-in-process differential
 //! suite depends on remote runs reproducing local runs bit for bit, and a
@@ -532,13 +536,22 @@ impl<'a> Cursor<'a> {
 }
 
 impl Request {
-    /// Serializes into a frame body (version + opcode + payload).
+    /// Serializes into a fresh frame body (version + opcode + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = vec![PROTOCOL_VERSION];
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the frame body (version + opcode + payload) to `buf` — the
+    /// form [`Framed::send`] uses to encode straight behind the length
+    /// prefix in its reusable write buffer.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.push(PROTOCOL_VERSION);
         match self {
             Request::Hello { tenant } => {
                 buf.push(OP_HELLO);
-                put_u64(&mut buf, *tenant as u64);
+                put_u64(buf, *tenant as u64);
             }
             Request::Lookup {
                 tenant,
@@ -548,11 +561,11 @@ impl Request {
                 now,
             } => {
                 buf.push(OP_LOOKUP);
-                put_u64(&mut buf, *tenant as u64);
-                put_u64(&mut buf, *namespace);
-                put_sig(&mut buf, signature);
-                put_u32(&mut buf, *interference_bucket);
-                put_time(&mut buf, *now);
+                put_u64(buf, *tenant as u64);
+                put_u64(buf, *namespace);
+                put_sig(buf, signature);
+                put_u32(buf, *interference_bucket);
+                put_time(buf, *now);
             }
             Request::Peek {
                 namespace,
@@ -562,14 +575,14 @@ impl Request {
                 exclude_owner,
             } => {
                 buf.push(OP_PEEK);
-                put_u64(&mut buf, *namespace);
-                put_sig(&mut buf, signature);
-                put_u32(&mut buf, *interference_bucket);
-                put_time(&mut buf, *now);
+                put_u64(buf, *namespace);
+                put_sig(buf, signature);
+                put_u32(buf, *interference_bucket);
+                put_time(buf, *now);
                 match exclude_owner {
                     Some(t) => {
                         buf.push(1);
-                        put_u64(&mut buf, *t as u64);
+                        put_u64(buf, *t as u64);
                     }
                     None => buf.push(0),
                 }
@@ -583,35 +596,34 @@ impl Request {
                 tuned_at,
             } => {
                 buf.push(OP_PUBLISH);
-                put_u64(&mut buf, *tenant as u64);
-                put_u64(&mut buf, *namespace);
-                put_sig(&mut buf, signature);
-                put_u32(&mut buf, *interference_bucket);
-                put_alloc(&mut buf, *allocation);
-                put_time(&mut buf, *tuned_at);
+                put_u64(buf, *tenant as u64);
+                put_u64(buf, *namespace);
+                put_sig(buf, signature);
+                put_u32(buf, *interference_bucket);
+                put_alloc(buf, *allocation);
+                put_time(buf, *tuned_at);
             }
             Request::CommitBatch { ops } => {
                 buf.push(OP_COMMIT_BATCH);
-                put_u32(&mut buf, ops.len() as u32);
+                put_u32(buf, ops.len() as u32);
                 for op in ops {
-                    put_op(&mut buf, op);
+                    put_op(buf, op);
                 }
             }
             Request::EvictStale { now } => {
                 buf.push(OP_EVICT_STALE);
-                put_time(&mut buf, *now);
+                put_time(buf, *now);
             }
             Request::EvictStaleShard { shard, now } => {
                 buf.push(OP_EVICT_STALE_SHARD);
-                put_u64(&mut buf, *shard);
-                put_time(&mut buf, *now);
+                put_u64(buf, *shard);
+                put_time(buf, *now);
             }
             Request::Meta => buf.push(OP_META),
             Request::Stats => buf.push(OP_STATS),
             Request::ShardStats => buf.push(OP_SHARD_STATS),
             Request::Snapshot => buf.push(OP_SNAPSHOT),
         }
-        buf
     }
 
     /// Decodes a frame body. Typed errors, never a panic.
@@ -682,24 +694,32 @@ impl Request {
 }
 
 impl Response {
-    /// Serializes into a frame body (version + opcode + payload).
+    /// Serializes into a fresh frame body (version + opcode + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = vec![PROTOCOL_VERSION];
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the frame body (version + opcode + payload) to `buf`; see
+    /// [`Request::encode_into`].
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.push(PROTOCOL_VERSION);
         match self {
             Response::HelloOk { shard_count } => {
                 buf.push(OP_HELLO_OK);
-                put_u64(&mut buf, *shard_count);
+                put_u64(buf, *shard_count);
             }
             Response::Denied { reason } => {
                 buf.push(OP_DENIED);
-                put_str(&mut buf, reason);
+                put_str(buf, reason);
             }
             Response::Entry(entry) => {
                 buf.push(OP_ENTRY);
                 match entry {
                     Some(e) => {
                         buf.push(1);
-                        put_entry(&mut buf, e);
+                        put_entry(buf, e);
                     }
                     None => buf.push(0),
                 }
@@ -709,10 +729,10 @@ impl Response {
                 match result {
                     Some((e, (anchor, count, dist))) => {
                         buf.push(1);
-                        put_entry(&mut buf, e);
-                        put_u32(&mut buf, *anchor);
-                        put_u32(&mut buf, *count);
-                        put_f64(&mut buf, *dist);
+                        put_entry(buf, e);
+                        put_u32(buf, *anchor);
+                        put_u32(buf, *count);
+                        put_f64(buf, *dist);
                     }
                     None => buf.push(0),
                 }
@@ -720,12 +740,12 @@ impl Response {
             Response::Ok => buf.push(OP_OK),
             Response::Applied(flags) => {
                 buf.push(OP_APPLIED);
-                put_u32(&mut buf, flags.len() as u32);
+                put_u32(buf, flags.len() as u32);
                 buf.extend(flags.iter().map(|&b| b as u8));
             }
             Response::Evicted(n) => {
                 buf.push(OP_EVICTED);
-                put_u64(&mut buf, *n);
+                put_u64(buf, *n);
             }
             Response::Meta {
                 shard_count,
@@ -734,32 +754,31 @@ impl Response {
                 anchors,
             } => {
                 buf.push(OP_META_R);
-                put_u64(&mut buf, *shard_count);
-                put_f64(&mut buf, *clock_secs);
-                put_u64(&mut buf, *len);
-                put_u64(&mut buf, *anchors);
+                put_u64(buf, *shard_count);
+                put_f64(buf, *clock_secs);
+                put_u64(buf, *len);
+                put_u64(buf, *anchors);
             }
             Response::Stats(s) => {
                 buf.push(OP_STATS_R);
-                put_stats(&mut buf, s);
+                put_stats(buf, s);
             }
             Response::ShardStatsList(list) => {
                 buf.push(OP_SHARD_STATS_R);
-                put_u32(&mut buf, list.len() as u32);
+                put_u32(buf, list.len() as u32);
                 for s in list {
-                    put_stats(&mut buf, s);
+                    put_stats(buf, s);
                 }
             }
             Response::Snapshot(text) => {
                 buf.push(OP_SNAPSHOT_R);
-                put_str(&mut buf, text);
+                put_str(buf, text);
             }
             Response::Error { message } => {
                 buf.push(OP_ERROR);
-                put_str(&mut buf, message);
+                put_str(buf, message);
             }
         }
-        buf
     }
 
     /// Decodes a frame body. Typed errors, never a panic.
@@ -842,50 +861,186 @@ fn split_body(body: &[u8]) -> Result<(u8, u8, &[u8]), WireError> {
     Ok((body[0], body[1], &body[2..]))
 }
 
-/// Writes one length-prefixed frame.
-pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> Result<(), WireError> {
-    let len = body.len() as u32;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Oversized { len });
+/// Capacity each of a connection's two framing buffers starts with and
+/// returns to after a larger frame. A constant, not a knob: every request
+/// and reply of the lookup path is a few hundred bytes, and an idle session
+/// pins two of these.
+pub const FRAME_BUF_LEN: usize = 16 * 1024;
+
+/// Validates a frame body length against [`MAX_FRAME_LEN`] and narrows it
+/// to the prefix type. The comparison is made in `usize`, before narrowing —
+/// a ≥ 4 GiB body must not wrap its way under the cap — and the error's
+/// `len` saturates.
+fn frame_len(body_len: usize) -> Result<u32, WireError> {
+    let len = u32::try_from(body_len).unwrap_or(u32::MAX);
+    if body_len <= MAX_FRAME_LEN as usize {
+        Ok(len)
+    } else {
+        Err(WireError::Oversized { len })
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)?;
-    w.flush()?;
-    Ok(())
 }
 
-/// Reads one length-prefixed frame body. `Ok(None)` is a clean end of
-/// stream (the peer closed between frames); a stream that dies mid-frame is
-/// [`WireError::Truncated`], a length prefix over [`MAX_FRAME_LEN`] is
-/// [`WireError::Oversized`] — checked before any allocation.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, WireError> {
-    let mut prefix = [0u8; 4];
-    let mut filled = 0;
-    while filled < prefix.len() {
-        match r.read(&mut prefix[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(WireError::Truncated {
-                    context: "length prefix",
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
+/// The one framing path: a byte stream plus the two reusable buffers every
+/// frame of the connection passes through, in either direction.
+///
+/// # Contract
+///
+/// - **One `write` per frame.** [`send`](Self::send) encodes the body
+///   straight behind four reserved prefix bytes, patches the prefix and
+///   hands prefix and body to the stream in a single `write_all`. On a
+///   `TCP_NODELAY` socket that is one segment and one peer wake-up per
+///   frame instead of a bare prefix followed by its body.
+/// - **Buffered reads, in order.** [`recv`](Self::recv) reads into spare
+///   buffer space only when the buffered bytes do not already hold a whole
+///   frame, so a prefix and its body — and any frames the peer sent behind
+///   them — arrive in one `read` and are served from the buffer, in order,
+///   before the stream is read again. The body is a slice of the buffer; no
+///   per-frame allocation.
+/// - **Bounded buffers.** Both buffers hold [`FRAME_BUF_LEN`] bytes. A frame
+///   that does not fit grows its buffer to exactly that frame
+///   (`4 + len ≤ 4 + MAX_FRAME_LEN`), and the buffer returns to
+///   [`FRAME_BUF_LEN`] once the frame is written or consumed. A length
+///   prefix over [`MAX_FRAME_LEN`] is [`WireError::Oversized`] as soon as
+///   its four bytes are in — before anything grows.
+#[derive(Debug)]
+pub struct Framed<S> {
+    stream: S,
+    /// Prefix + body of the frame being sent.
+    wbuf: Vec<u8>,
+    /// Read buffer, fully initialized; received-but-unserved bytes are
+    /// `rbuf[head..tail]`.
+    rbuf: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+impl<S> Framed<S> {
+    /// Wraps `stream` with empty buffers.
+    pub fn new(stream: S) -> Self {
+        Framed {
+            stream,
+            wbuf: Vec::with_capacity(FRAME_BUF_LEN),
+            rbuf: vec![0; FRAME_BUF_LEN],
+            head: 0,
+            tail: 0,
         }
     }
-    let len = u32::from_le_bytes(prefix);
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Oversized { len });
+
+    /// Forgets the frame [`recv`](Self::recv) last returned and gives back
+    /// whatever a larger-than-[`FRAME_BUF_LEN`] frame grew the read buffer
+    /// by. `recv` does this on entry, before it can block; a caller that
+    /// goes idle right after a frame (the client, between calls) does it
+    /// itself.
+    pub fn release(&mut self) {
+        if self.head == self.tail {
+            self.head = 0;
+            self.tail = 0;
+        }
+        if self.rbuf.len() > FRAME_BUF_LEN && self.tail - self.head <= FRAME_BUF_LEN {
+            self.compact();
+            self.rbuf.truncate(FRAME_BUF_LEN);
+            self.rbuf.shrink_to(FRAME_BUF_LEN);
+        }
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => WireError::Truncated {
-            context: "frame body",
-        },
-        kind => WireError::Io { kind },
-    })?;
-    Ok(Some(body))
+
+    /// Moves the buffered bytes to the front of the buffer.
+    fn compact(&mut self) {
+        self.rbuf.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+    }
+
+    /// Ensures `rbuf[head..]` spans at least `need` bytes: compacts, then —
+    /// only if the whole buffer is still too small — grows to exactly `need`.
+    fn make_room(&mut self, need: usize) {
+        if self.rbuf.len() - self.head >= need {
+            return;
+        }
+        self.compact();
+        if self.rbuf.len() < need {
+            self.rbuf.reserve_exact(need - self.rbuf.len());
+            self.rbuf.resize(need, 0);
+        }
+    }
+}
+
+impl<S: Write> Framed<S> {
+    /// Sends one frame whose body `encode` appends to the buffer it is
+    /// given ([`Request::encode_into`] / [`Response::encode_into`]), in one
+    /// `write_all`. Returns the body length. A body over [`MAX_FRAME_LEN`]
+    /// is [`WireError::Oversized`] and nothing is written.
+    pub fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<usize, WireError> {
+        self.wbuf.clear();
+        self.wbuf.extend_from_slice(&[0; 4]);
+        encode(&mut self.wbuf);
+        let body_len = self.wbuf.len() - 4;
+        let sent = frame_len(body_len).and_then(|len| {
+            self.wbuf[..4].copy_from_slice(&len.to_le_bytes());
+            self.stream.write_all(&self.wbuf)?;
+            self.stream.flush()?;
+            Ok(body_len)
+        });
+        if self.wbuf.capacity() > FRAME_BUF_LEN {
+            self.wbuf = Vec::with_capacity(FRAME_BUF_LEN);
+        }
+        sent
+    }
+}
+
+impl<S: Read> Framed<S> {
+    /// Receives one frame body, borrowed from the read buffer until the
+    /// next call. `Ok(None)` is a clean end of stream (the peer closed
+    /// between frames); a stream that dies mid-frame is
+    /// [`WireError::Truncated`] naming the part it died in; a length prefix
+    /// over [`MAX_FRAME_LEN`] is [`WireError::Oversized`].
+    pub fn recv(&mut self) -> Result<Option<&[u8]>, WireError> {
+        self.release();
+        self.make_room(4);
+        while self.tail - self.head < 4 {
+            if self.fill()? == 0 {
+                return if self.head == self.tail {
+                    Ok(None)
+                } else {
+                    Err(WireError::Truncated {
+                        context: "length prefix",
+                    })
+                };
+            }
+        }
+        let prefix = &self.rbuf[self.head..self.head + 4];
+        let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes"));
+        if len > MAX_FRAME_LEN {
+            return Err(WireError::Oversized { len });
+        }
+        let frame = 4 + len as usize;
+        self.make_room(frame);
+        let end = self.head + frame;
+        while self.tail < end {
+            if self.fill()? == 0 {
+                return Err(WireError::Truncated {
+                    context: "frame body",
+                });
+            }
+        }
+        let body = self.head + 4..end;
+        self.head = end;
+        Ok(Some(&self.rbuf[body]))
+    }
+
+    /// One `read` into the free space behind the buffered bytes; `Ok(0)` is
+    /// end of stream.
+    fn fill(&mut self) -> Result<usize, WireError> {
+        loop {
+            match self.stream.read(&mut self.rbuf[self.tail..]) {
+                Ok(n) => {
+                    self.tail += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1060,35 +1215,290 @@ mod tests {
     fn oversized_and_truncated_streams_are_typed_errors() {
         // Prefix claims more than MAX_FRAME_LEN: rejected before allocation.
         let prefix = (MAX_FRAME_LEN + 1).to_le_bytes();
-        let mut stream: &[u8] = &prefix;
+        let mut framed = Framed::new(&prefix[..]);
         assert_eq!(
-            read_frame(&mut stream),
+            framed.recv(),
             Err(WireError::Oversized {
                 len: MAX_FRAME_LEN + 1
             })
         );
+        assert_eq!(framed.rbuf.capacity(), FRAME_BUF_LEN);
         // Stream dies inside the prefix.
-        let mut stream: &[u8] = &[1, 0];
         assert_eq!(
-            read_frame(&mut stream),
+            Framed::new(&[1u8, 0][..]).recv(),
             Err(WireError::Truncated {
                 context: "length prefix"
             })
         );
         // Stream dies inside the body.
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &Request::Meta.encode()).expect("frame");
-        framed.truncate(framed.len() - 1);
-        let mut stream: &[u8] = &framed;
+        let mut wire = wire_bytes(&[Request::Meta.encode()]);
+        wire.pop();
         assert_eq!(
-            read_frame(&mut stream),
+            Framed::new(&wire[..]).recv(),
             Err(WireError::Truncated {
                 context: "frame body"
             })
         );
         // Clean end-of-stream between frames is not an error.
-        let mut stream: &[u8] = &[];
-        assert_eq!(read_frame(&mut stream), Ok(None));
+        assert_eq!(Framed::new(&[][..]).recv(), Ok(None));
+    }
+
+    /// The bytes an independent peer would put on the wire for `bodies`:
+    /// a `u32` little-endian length, then the body, frame after frame.
+    fn wire_bytes(bodies: &[Vec<u8>]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for body in bodies {
+            wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            wire.extend_from_slice(body);
+        }
+        wire
+    }
+
+    /// A scripted stream: each `read` delivers (at most) the next chunk, the
+    /// end of the script is end of stream, and everything written is kept
+    /// together with the number of `write` calls it took.
+    #[derive(Default)]
+    struct Scripted {
+        chunks: std::collections::VecDeque<Vec<u8>>,
+        written: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Scripted {
+        fn delivering(chunks: impl IntoIterator<Item = Vec<u8>>) -> Self {
+            Scripted {
+                chunks: chunks.into_iter().filter(|c| !c.is_empty()).collect(),
+                ..Scripted::default()
+            }
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(chunk) = self.chunks.front_mut() else {
+                return Ok(0);
+            };
+            let n = buf.len().min(chunk.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.chunks.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Receives until the stream ends; the frames decoded so far and how it
+    /// ended (`Ok(())` is a clean end between frames).
+    fn drain(framed: &mut Framed<Scripted>) -> (Vec<Vec<u8>>, Result<(), WireError>) {
+        let mut bodies = Vec::new();
+        loop {
+            match framed.recv() {
+                Ok(Some(body)) => bodies.push(body.to_vec()),
+                Ok(None) => return (bodies, Ok(())),
+                Err(err) => return (bodies, Err(err)),
+            }
+        }
+    }
+
+    /// Frame bodies of every shape the buffer logic distinguishes: empty,
+    /// tiny, typical, one that exactly fills the fixed buffer, one byte
+    /// more, and one several buffers long.
+    fn sample_bodies() -> Vec<Vec<u8>> {
+        let filler = |n: usize| (0..n).map(|i| (i * 31 + n) as u8).collect::<Vec<u8>>();
+        vec![
+            Request::Hello { tenant: 7 }.encode(),
+            Vec::new(),
+            Request::Lookup {
+                tenant: 3,
+                namespace: 11,
+                signature: (0..30).map(|i| i as f64 * 1.25).collect(),
+                interference_bucket: 2,
+                now: SimTime::from_secs(3600.25),
+            }
+            .encode(),
+            filler(FRAME_BUF_LEN - 4),
+            Request::Meta.encode(),
+            filler(FRAME_BUF_LEN - 3),
+            filler(1),
+            filler(3 * FRAME_BUF_LEN + 17),
+            Response::Entry(None).encode(),
+        ]
+    }
+
+    #[test]
+    fn frames_decode_identically_under_every_delivery_pattern() {
+        let bodies = sample_bodies();
+        let wire = wire_bytes(&bodies);
+        let check = |chunks: Vec<Vec<u8>>, pattern: &str| {
+            let mut framed = Framed::new(Scripted::delivering(chunks));
+            let (got, end) = drain(&mut framed);
+            assert_eq!(end, Ok(()), "{pattern}");
+            assert!(got == bodies, "{pattern}: decoded frames differ");
+            // The large frame is long consumed: the buffer is back at its
+            // constant.
+            assert_eq!(framed.rbuf.capacity(), FRAME_BUF_LEN, "{pattern}");
+        };
+        check(wire.iter().map(|&b| vec![b]).collect(), "a byte per read");
+        check(vec![wire.clone()], "everything in one read");
+        // Split at every byte offset of the small frames, and at every
+        // offset around each frame boundary of the large ones.
+        let mut boundaries = vec![0];
+        for body in &bodies {
+            boundaries.push(boundaries.last().expect("non-empty") + 4 + body.len());
+        }
+        for split in 1..wire.len() {
+            let near_boundary = boundaries.iter().any(|&b| split.abs_diff(b) <= 8);
+            let in_small_frame = boundaries
+                .windows(2)
+                .any(|w| w[0] < split && split < w[1] && w[1] - w[0] <= 512);
+            if near_boundary || in_small_frame {
+                check(
+                    vec![wire[..split].to_vec(), wire[split..].to_vec()],
+                    &format!("split at {split}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn end_of_stream_inside_a_frame_names_the_part_it_died_in() {
+        let bodies = vec![
+            Request::Meta.encode(),
+            Request::Hello { tenant: 1 }.encode(),
+        ];
+        let wire = wire_bytes(&bodies);
+        let second = 4 + bodies[0].len();
+        for cut in 0..=wire.len() {
+            for one_read in [true, false] {
+                let delivered = wire[..cut].to_vec();
+                let chunks = if one_read {
+                    vec![delivered]
+                } else {
+                    delivered.iter().map(|&b| vec![b]).collect()
+                };
+                let (got, end) = drain(&mut Framed::new(Scripted::delivering(chunks)));
+                // How far into which frame the stream died.
+                let (whole, into) = if cut < second {
+                    (0, cut)
+                } else if cut < wire.len() {
+                    (1, cut - second)
+                } else {
+                    (2, 0)
+                };
+                assert!(got == bodies[..whole], "cut at {cut}");
+                let expected = match into {
+                    0 => Ok(()),
+                    1..=3 => Err(WireError::Truncated {
+                        context: "length prefix",
+                    }),
+                    _ => Err(WireError::Truncated {
+                        context: "frame body",
+                    }),
+                };
+                assert_eq!(end, expected, "cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_oversized_prefix_is_refused_before_the_buffer_grows() {
+        // Behind a served frame, with the hostile prefix split across reads
+        // and followed by bytes that must never be waited for.
+        let mut wire = wire_bytes(&[Request::Meta.encode()]);
+        wire.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+        wire.extend_from_slice(&[0xAB; 64]);
+        let split = wire.len() - 66;
+        let chunks = vec![wire[..split].to_vec(), wire[split..].to_vec()];
+        let mut framed = Framed::new(Scripted::delivering(chunks));
+        let (got, end) = drain(&mut framed);
+        assert_eq!(got, vec![Request::Meta.encode()]);
+        assert_eq!(
+            end,
+            Err(WireError::Oversized {
+                len: MAX_FRAME_LEN + 1
+            })
+        );
+        assert_eq!(framed.rbuf.len(), FRAME_BUF_LEN);
+        assert_eq!(framed.rbuf.capacity(), FRAME_BUF_LEN);
+    }
+
+    #[test]
+    fn a_maximal_frame_leaves_both_buffers_at_their_constants() {
+        let body = vec![0x5A; MAX_FRAME_LEN as usize];
+        let mut sender = Framed::new(Scripted::default());
+        assert_eq!(
+            sender.send(|buf| buf.extend_from_slice(&body)),
+            Ok(body.len())
+        );
+        assert_eq!(sender.stream.writes, 1, "prefix and body in one write");
+        assert_eq!(sender.wbuf.capacity(), FRAME_BUF_LEN);
+        // A small frame behind it rides the same buffer.
+        sender
+            .send(|buf| Request::Meta.encode_into(buf))
+            .expect("small frame");
+        let wire = std::mem::take(&mut sender.stream.written);
+        assert!(wire == wire_bytes(&[body.clone(), Request::Meta.encode()]));
+
+        let mut receiver = Framed::new(Scripted::delivering([wire]));
+        assert!(receiver.recv().expect("maximal frame") == Some(&body[..]));
+        // While the frame is borrowed the buffer holds exactly that frame…
+        assert_eq!(receiver.rbuf.len(), 4 + MAX_FRAME_LEN as usize);
+        // …and once it is released, the constant again — also when the
+        // release is the next `recv`'s own.
+        receiver.release();
+        assert_eq!(receiver.rbuf.capacity(), FRAME_BUF_LEN);
+        assert_eq!(
+            receiver.recv().expect("small frame"),
+            Some(&Request::Meta.encode()[..])
+        );
+        assert_eq!(receiver.recv(), Ok(None));
+        assert_eq!(receiver.rbuf.capacity(), FRAME_BUF_LEN);
+    }
+
+    #[test]
+    fn frame_length_is_checked_before_it_is_narrowed() {
+        assert_eq!(frame_len(0), Ok(0));
+        assert_eq!(frame_len(MAX_FRAME_LEN as usize), Ok(MAX_FRAME_LEN));
+        assert_eq!(
+            frame_len(MAX_FRAME_LEN as usize + 1),
+            Err(WireError::Oversized {
+                len: MAX_FRAME_LEN + 1
+            })
+        );
+        // Lengths that wrap to something small as a `u32` — no body of that
+        // size is ever materialised here.
+        #[cfg(target_pointer_width = "64")]
+        for body_len in [1usize << 32, (1 << 32) + 5, (1 << 40) + 2, usize::MAX] {
+            assert_eq!(
+                frame_len(body_len),
+                Err(WireError::Oversized { len: u32::MAX }),
+                "{body_len}"
+            );
+        }
+        // End to end: one byte over the cap is refused with nothing written
+        // and the write buffer back at its constant.
+        let mut framed = Framed::new(Scripted::default());
+        assert_eq!(
+            framed.send(|buf| buf.resize(buf.len() + MAX_FRAME_LEN as usize + 1, 0)),
+            Err(WireError::Oversized {
+                len: MAX_FRAME_LEN + 1
+            })
+        );
+        assert_eq!(framed.stream.writes, 0);
+        assert_eq!(framed.wbuf.capacity(), FRAME_BUF_LEN);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! [`Response::Error`] reply (when the stream still accepts writes) and the
 //! connection closes.
 
-use crate::protocol::{read_frame, write_frame, Request, Response, WireError};
+use crate::protocol::{Framed, Request, Response, WireError};
 use dejavu_fleet::{
     DeltaCursor, DurableCheckpointStore, DurableError, RecoveryReport, ShardStats,
     SharedSignatureRepository, TenantId,
@@ -470,56 +470,54 @@ fn spawn_session<S: Read + Write + Send + 'static>(shared: Arc<Shared>, stream: 
         .spawn(move || run_session(shared, stream));
 }
 
-fn run_session<S: Read + Write>(shared: Arc<Shared>, mut stream: S) {
+fn run_session<S: Read + Write>(shared: Arc<Shared>, stream: S) {
     // Admission first: a Hello on a full server is denied before any work.
     // The increment is optimistic so two racing Hellos cannot both sneak
     // under the cap.
     let admitted =
         shared.active_sessions.fetch_add(1, Ordering::AcqRel) < shared.config.max_sessions;
     let _guard = SessionGuard(Arc::clone(&shared));
-    let tenant = match read_hello(&mut stream) {
+    // Every frame of the session, both ways, goes through this one value.
+    let mut framed = Framed::new(stream);
+    let tenant = match read_hello(&mut framed) {
         Ok(Some(tenant)) => tenant,
         Ok(None) => return,
         Err(err) => {
-            reply_error(&mut stream, &err);
+            reply_error(&mut framed, &err);
             return;
         }
     };
     if !admitted {
         shared.denied_sessions.inc();
-        let _ = write_frame(
-            &mut stream,
-            &Response::Denied {
-                reason: format!("at capacity ({} sessions)", shared.config.max_sessions),
-            }
-            .encode(),
-        );
+        let denied = Response::Denied {
+            reason: format!("at capacity ({} sessions)", shared.config.max_sessions),
+        };
+        let _ = framed.send(|buf| denied.encode_into(buf));
         return;
     }
     let usage = shared.usage_for(tenant);
     let hello_ok = Response::HelloOk {
         shard_count: shared.repo.shard_count() as u64,
+    };
+    match framed.send(|buf| hello_ok.encode_into(buf)) {
+        Ok(sent) => usage.bytes_out.add(sent as u64),
+        Err(_) => return,
     }
-    .encode();
-    if write_frame(&mut stream, &hello_ok).is_err() {
-        return;
-    }
-    usage.bytes_out.add(hello_ok.len() as u64);
     loop {
-        let body = match read_frame(&mut stream) {
+        let body = match framed.recv() {
             Ok(Some(body)) => body,
             // Clean disconnect between frames.
             Ok(None) => return,
             Err(err) => {
-                reply_error(&mut stream, &err);
+                reply_error(&mut framed, &err);
                 return;
             }
         };
         usage.bytes_in.add(body.len() as u64);
-        let request = match Request::decode(&body) {
+        let request = match Request::decode(body) {
             Ok(req) => req,
             Err(err) => {
-                reply_error(&mut stream, &err);
+                reply_error(&mut framed, &err);
                 return;
             }
         };
@@ -561,18 +559,14 @@ fn run_session<S: Read + Write>(shared: Arc<Shared>, mut stream: S) {
                 response
             }
         };
-        let encoded = response.encode();
-        match write_frame(&mut stream, &encoded) {
-            Ok(()) => usage.bytes_out.add(encoded.len() as u64),
+        // One reply per request, written whole before the session blocks in
+        // `recv` again.
+        match framed.send(|buf| response.encode_into(buf)) {
+            Ok(sent) => usage.bytes_out.add(sent as u64),
             // A response too large for one frame (a giant snapshot) gets an
             // error reply instead of a half-written stream.
-            Err(WireError::Oversized { .. }) => {
-                reply_error(
-                    &mut stream,
-                    &WireError::Oversized {
-                        len: encoded.len() as u32,
-                    },
-                );
+            Err(err @ WireError::Oversized { .. }) => {
+                reply_error(&mut framed, &err);
                 return;
             }
             Err(_) => return,
@@ -583,10 +577,10 @@ fn run_session<S: Read + Write>(shared: Arc<Shared>, mut stream: S) {
 /// Reads the opening frame and requires it to be `Hello`. `Ok(None)` means
 /// the peer connected and left without speaking (the stop() wake-up does
 /// exactly this).
-fn read_hello<S: Read + Write>(stream: &mut S) -> Result<Option<TenantId>, WireError> {
-    match read_frame(stream)? {
+fn read_hello<S: Read>(framed: &mut Framed<S>) -> Result<Option<TenantId>, WireError> {
+    match framed.recv()? {
         None => Ok(None),
-        Some(body) => match Request::decode(&body)? {
+        Some(body) => match Request::decode(body)? {
             Request::Hello { tenant } => Ok(Some(tenant)),
             _ => Err(WireError::Malformed {
                 context: "first frame must be Hello",
@@ -595,14 +589,9 @@ fn read_hello<S: Read + Write>(stream: &mut S) -> Result<Option<TenantId>, WireE
     }
 }
 
-fn reply_error<S: Write>(stream: &mut S, err: &WireError) {
-    let _ = write_frame(
-        stream,
-        &Response::Error {
-            message: err.to_string(),
-        }
-        .encode(),
-    );
+fn reply_error<S: Write>(framed: &mut Framed<S>, err: &WireError) {
+    let message = err.to_string();
+    let _ = framed.send(|buf| Response::Error { message }.encode_into(buf));
 }
 
 /// The shards a request mutates (ascending, deduplicated), or `None` for
@@ -706,7 +695,6 @@ fn handle(repo: &SharedSignatureRepository, request: Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::read_frame;
     use std::collections::VecDeque;
     use std::sync::mpsc;
 
@@ -775,19 +763,20 @@ mod tests {
     }
 
     fn hello_frame(tenant: TenantId) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        crate::protocol::write_frame(&mut bytes, &Request::Hello { tenant }.encode())
-            .expect("hello frame");
+        let body = Request::Hello { tenant }.encode();
+        let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&body);
         bytes
     }
 
     fn first_response(out: &Arc<Mutex<Vec<u8>>>) -> Response {
         let data = out.lock().expect("out buffer poisoned").clone();
-        let mut cursor: &[u8] = &data;
-        let body = read_frame(&mut cursor)
+        let mut framed = Framed::new(&data[..]);
+        let body = framed
+            .recv()
             .expect("response frame")
             .expect("one response written");
-        Response::decode(&body).expect("response decodes")
+        Response::decode(body).expect("response decodes")
     }
 
     fn wait_for(what: &str, cond: impl Fn() -> bool) {
@@ -853,5 +842,49 @@ mod tests {
         thread_b.join().expect("session b exits");
         thread_d.join().expect("session d exits");
         assert_eq!(shared.active_sessions.load(Ordering::Acquire), 0);
+    }
+
+    /// The count the framing change rests on: over a connection that
+    /// delivers every `write` whole, a `Hello` + N `Lookup` exchange costs
+    /// each side exactly one `write` per frame it sends and one `read` per
+    /// frame it receives. (Two and two with a prefix written and read apart
+    /// from its body.)
+    #[test]
+    fn a_frame_costs_one_write_and_one_read_on_each_side() {
+        const LOOKUPS: usize = 25;
+        let repo = Arc::new(SharedSignatureRepository::new(Default::default()));
+        let signature: Vec<f64> = (0..30).map(|i| 1.0 + i as f64).collect();
+        repo.insert(
+            0,
+            5,
+            &signature,
+            0,
+            dejavu_cloud::ResourceAllocation::large(3),
+            dejavu_simcore::SimTime::from_secs(10.0),
+        );
+        let shared = shared_state(repo, ServeConfig::default(), None);
+
+        let (client_end, server_end) = crate::testing::duplex();
+        let (client_calls, server_calls) = (client_end.counts(), server_end.counts());
+        let session = std::thread::spawn(move || run_session(shared, server_end));
+        let client = crate::RemoteRepository::connect_duplex(client_end, 1).expect("session opens");
+        for i in 0..LOOKUPS {
+            // Hits and misses alike: one request frame, one reply frame.
+            let namespace = if i % 5 == 0 { 6 } else { 5 };
+            let now = dejavu_simcore::SimTime::from_secs(20.0 + i as f64);
+            let entry = client
+                .lookup(1, namespace, &signature, 0, now)
+                .expect("lookup");
+            assert_eq!(entry.is_some(), namespace == 5);
+        }
+        drop(client);
+        session.join().expect("session exits on hang-up");
+
+        let frames = 1 + LOOKUPS;
+        assert_eq!(client_calls.writes(), frames, "client writes");
+        assert_eq!(client_calls.reads(), frames, "client reads");
+        assert_eq!(server_calls.writes(), frames, "server writes");
+        // One more: the read that found the client gone.
+        assert_eq!(server_calls.reads(), frames + 1, "server reads");
     }
 }

@@ -313,6 +313,84 @@ fn protocol_violations_get_typed_errors_and_never_kill_the_server() {
     handle.stop();
 }
 
+/// Pipelining: `Hello` and three `Lookup`s arriving in **one** `write` are
+/// served from the session's read buffer in order — `HelloOk`, then three
+/// replies byte-equal to the ones a twin server gives three sequential
+/// calls (lookups move hit counters, so each reply depends on its place).
+#[test]
+fn frames_written_back_to_back_are_served_in_order() {
+    let sig = [4.0, 9.0, 1.5];
+    let publish = |handle: &dejavu_serve::ServerHandle| {
+        connect(handle, 3)
+            .publish(
+                3,
+                77,
+                &sig,
+                1,
+                dejavu_cloud::ResourceAllocation::large(5),
+                SimTime::from_secs(60.0),
+            )
+            .expect("publish");
+    };
+    let lookups: Vec<Request> = [(9, 77), (4, 78), (3, 77)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(tenant, namespace))| Request::Lookup {
+            tenant,
+            namespace,
+            signature: sig.to_vec(),
+            interference_bucket: 1,
+            now: SimTime::from_secs(120.0 + i as f64),
+        })
+        .collect();
+
+    // The twin: the same lookups, one call at a time.
+    let twin = serve(&SharedRepoConfig::default(), 8);
+    publish(&twin);
+    let client = connect(&twin, 9);
+    let sequential: Vec<Response> = lookups
+        .iter()
+        .map(|request| match request {
+            Request::Lookup {
+                tenant,
+                namespace,
+                signature,
+                interference_bucket,
+                now,
+            } => Response::Entry(
+                client
+                    .lookup(*tenant, *namespace, signature, *interference_bucket, *now)
+                    .expect("sequential lookup"),
+            ),
+            other => unreachable!("{other:?}"),
+        })
+        .collect();
+    assert!(matches!(sequential[0], Response::Entry(Some(_))));
+    assert_eq!(sequential[1], Response::Entry(None));
+    drop(client);
+
+    let handle = serve(&SharedRepoConfig::default(), 8);
+    publish(&handle);
+    let mut burst = Vec::new();
+    for body in std::iter::once(Request::Hello { tenant: 9 }.encode())
+        .chain(lookups.iter().map(Request::encode))
+    {
+        burst.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        burst.extend_from_slice(&body);
+    }
+    let mut stream = raw_connect(&handle);
+    stream.write_all(&burst).expect("one write, four frames");
+    assert!(matches!(read_reply(&mut stream), Response::HelloOk { .. }));
+    for (i, expected) in sequential.iter().enumerate() {
+        let reply = read_reply(&mut stream);
+        assert_eq!(reply.encode(), expected.encode(), "reply {i}");
+    }
+    assert_eq!(handle.repository().stats(), twin.repository().stats());
+    drop(stream);
+    handle.stop();
+    twin.stop();
+}
+
 /// Stale-socket regression: a socket file left behind by an uncleanly
 /// killed daemon (`SIGKILL` removes nothing) is detected — nobody answers
 /// on it — and reclaimed, while a path a *live* server answers on stays a
