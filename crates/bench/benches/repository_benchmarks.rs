@@ -1,7 +1,7 @@
 //! Benchmarks of the fleet-shared signature repository's hot path and of a
 //! small end-to-end fleet run.
 //!
-//! Run with `cargo bench -p dejavu-bench --bench fleet_benchmarks`.
+//! Run with `cargo bench -p dejavu-bench --bench repository_benchmarks`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dejavu_cloud::ResourceAllocation;

@@ -15,6 +15,22 @@
 use dejavu_fleet::{FaultSpec, TransportConfig};
 use std::env;
 
+/// The paper artefacts, in the order `all` prints them (`fleet` is the one
+/// other experiment name, and opt-in).
+const PAPER_ARTEFACTS: [&str; 13] = [
+    "fig1", "fig4", "fig5", "table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "overhead",
+    "savings", "ablation",
+];
+
+/// The parsed value of a numeric flag, or exit 2 saying what `flag` needs: a
+/// missing or unparsable value must not silently run a different experiment.
+fn numeric<T: std::str::FromStr>(flag: &str, value: Option<&String>, needs: &str) -> T {
+    value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("{flag} needs {needs}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     let mut seed = 1u64;
@@ -25,9 +41,9 @@ fn main() {
         baselines: true,
         ..Default::default()
     };
-    // `--transport steal` (alias: `async`) defaults to 1 epoch of staleness
-    // on 4 workers; `--staleness` overrides the bound (0 bit-matches the BSP
-    // barrier) and `--threads` the pool size. The name itself goes through
+    // `--transport steal` defaults to 1 epoch of staleness on 4 workers;
+    // `--staleness` overrides the bound (0 bit-matches the BSP barrier) and
+    // `--threads` the pool size. The name itself goes through
     // the typed `TransportConfig::parse`, so an unknown backend is a clear
     // error listing the valid choices.
     let mut transport_name: Option<String> = None;
@@ -41,17 +57,11 @@ fn main() {
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         if arg == "--seed" {
-            if let Some(v) = it.next() {
-                seed = v.parse().unwrap_or(1);
-            }
+            seed = numeric(arg, it.next(), "an unsigned integer seed");
         } else if arg == "--tenants" {
-            if let Some(v) = it.next() {
-                fleet_opts.tenants = v.parse().unwrap_or(40);
-            }
+            fleet_opts.tenants = numeric(arg, it.next(), "a tenant count");
         } else if arg == "--days" {
-            if let Some(v) = it.next() {
-                fleet_opts.days = v.parse().unwrap_or(3);
-            }
+            fleet_opts.days = numeric(arg, it.next(), "a day count");
         } else if arg == "--transport" {
             match it.next() {
                 Some(v) => transport_name = Some(v.clone()),
@@ -61,13 +71,7 @@ fn main() {
                 }
             }
         } else if arg == "--staleness" {
-            match it.next().and_then(|v| v.parse().ok()) {
-                Some(k) => staleness = k,
-                None => {
-                    eprintln!("--staleness needs an epoch count");
-                    std::process::exit(2);
-                }
-            }
+            staleness = numeric(arg, it.next(), "an epoch count");
         } else if arg == "--threads" {
             match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => threads = n,
@@ -88,13 +92,8 @@ fn main() {
                 }
             }
         } else if arg == "--checkpoint-every" {
-            match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => fleet_opts.checkpoint_every = n,
-                None => {
-                    eprintln!("--checkpoint-every needs a commit count (0 keeps every delta)");
-                    std::process::exit(2);
-                }
-            }
+            fleet_opts.checkpoint_every =
+                numeric(arg, it.next(), "a commit count (0 keeps every delta)");
         } else if arg == "--checkpoint-dir" {
             match it.next() {
                 Some(v) if !v.starts_with("--") => fleet_opts.checkpoint_dir = Some(v.clone()),
@@ -177,13 +176,19 @@ fn main() {
         fleet_opts.faults = Some(spec);
     }
     if targets.is_empty() || targets.iter().any(|t| t == "all") {
-        targets = vec![
-            "fig1", "fig4", "fig5", "table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-            "overhead", "savings", "ablation",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+        targets = PAPER_ARTEFACTS.iter().map(|t| t.to_string()).collect();
+    }
+    // Refuse the whole invocation before running anything: a typo must not
+    // print a partial report and exit 0.
+    if let Some(unknown) = targets
+        .iter()
+        .find(|t| *t != "fleet" && !PAPER_ARTEFACTS.contains(&t.as_str()))
+    {
+        eprintln!(
+            "unknown experiment '{unknown}': valid names are all, fleet, {}",
+            PAPER_ARTEFACTS.join(", ")
+        );
+        std::process::exit(2);
     }
     for target in targets {
         let text = match target.as_str() {
@@ -215,7 +220,7 @@ fn main() {
                     std::process::exit(1);
                 }
             },
-            other => format!("unknown experiment '{other}'\n"),
+            other => unreachable!("'{other}' passed the experiment-name check"),
         };
         println!("{text}");
     }

@@ -378,7 +378,7 @@ impl Manifest {
         let shards = config
             .strip_prefix("config shards=")
             .and_then(|t| t.parse::<usize>().ok())
-            .filter(|&s| (1..=(1 << 16)).contains(&s))
+            .filter(|s| (1..=snapshot::MAX_SHARDS).contains(s))
             .ok_or_else(|| fmt(line_no, format!("bad config line {config:?}")))?;
         let mut base: Option<FileEntry> = None;
         let mut folds: Vec<Option<ManifestFold>> = vec![None; shards];
@@ -558,6 +558,13 @@ impl DurableCheckpointStore {
         base: RepoSnapshot,
         checkpoint_every: usize,
     ) -> Result<Self, DurableError> {
+        // Refuse here what every reader refuses, before anything is written:
+        // a manifest past the bound would acknowledge writes it can never
+        // replay.
+        snapshot::check_shard_count(base.shards).map_err(|source| DurableError::Snapshot {
+            file: String::new(),
+            source,
+        })?;
         fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
         for entry in fs::read_dir(dir).map_err(|e| io_err(dir, e))? {
             let entry = entry.map_err(|e| io_err(dir, e))?;

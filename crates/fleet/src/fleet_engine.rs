@@ -77,9 +77,8 @@ pub struct FleetConfig {
     /// Repository sharing mode.
     pub sharing: SharingMode,
     /// Worker threads for the barrier transport and tenant finalization;
-    /// 0 means "one per available core". The bounded-staleness transport
-    /// runs one thread per tenant regardless, and the work-stealing
-    /// transport sizes its pool from its own `threads` field.
+    /// 0 means "one per available core". The work-stealing transport sizes
+    /// its pool from its own `threads` field.
     pub workers: usize,
     /// Shared-repository sharding/TTL configuration.
     pub repo: SharedRepoConfig,

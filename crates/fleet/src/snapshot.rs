@@ -68,6 +68,18 @@ pub const DELTA_SNAPSHOT_VERSION: &str = "dejavu-fleet-snapshot v1.1 delta";
 /// of aborting the process inside a huge allocation.
 pub const MAX_SHARDS: usize = 1 << 16;
 
+/// The one statement of the shard-count bound: every snapshot reader and
+/// every writer whose output must be readable again goes through it.
+pub(crate) fn check_shard_count(shards: usize) -> Result<(), SnapshotError> {
+    if (1..=MAX_SHARDS).contains(&shards) {
+        Ok(())
+    } else {
+        Err(SnapshotError::Inconsistent {
+            message: format!("shard count {shards} outside 1..={MAX_SHARDS}"),
+        })
+    }
+}
+
 // The snapshot types stay serde-shaped so the planned swap to the real serde
 // (ROADMAP: `vendor/*` are hermetic stand-ins) is a manifest-only change:
 // these bounds fail to compile if anyone drops the derives — which is also
@@ -607,11 +619,7 @@ pub fn decode(text: &str) -> Result<RepoSnapshot, SnapshotError> {
         return Err(format_err(line_no, "data after `end`"));
     }
 
-    if shards == 0 || shards > MAX_SHARDS {
-        return Err(SnapshotError::Inconsistent {
-            message: format!("shard count {shards} outside 1..={MAX_SHARDS}"),
-        });
-    }
+    check_shard_count(shards)?;
     let mut stats = vec![ShardStats::default(); shards];
     let mut seen = vec![false; shards];
     for (idx, s) in shard_stats {

@@ -570,16 +570,14 @@ impl TransportConfig {
     /// instead of a panic, and extending the backend set cannot leave a
     /// stale catch-all match arm behind. `threads` and `staleness` carry
     /// the values of `--threads` / `--staleness`; `bsp` ignores them.
-    /// `async` is kept as an alias of `steal`: it named a thread-per-tenant
-    /// backend that lost to the pool at every fleet size and was removed.
     pub fn parse(backend: &str, threads: usize, staleness: usize) -> Result<Self, String> {
         match backend {
             "bsp" => Ok(TransportConfig::Bsp),
-            "steal" | "async" => Ok(TransportConfig::WorkStealing { threads, staleness }),
+            "steal" => Ok(TransportConfig::WorkStealing { threads, staleness }),
             other => Err(format!(
                 "unknown transport '{other}': valid backends are 'bsp' (lock-step epoch \
                  barrier) and 'steal' (work-stealing pool, views at most K epochs stale; \
-                 --threads N --staleness K); 'async' is accepted as an alias of the pool"
+                 --threads N --staleness K)"
             )),
         }
     }
@@ -790,20 +788,20 @@ mod tests {
     }
 
     #[test]
-    fn transport_parse_accepts_both_backends_and_the_alias_and_rejects_the_rest() {
+    fn transport_parse_accepts_both_backends_and_rejects_the_rest() {
         assert_eq!(
             TransportConfig::parse("bsp", 4, 2),
             Ok(TransportConfig::Bsp)
         );
         assert_eq!(TransportConfig::parse("steal", 4, 2), Ok(POOL));
-        // The alias runs the pool at `--threads`, not one thread per tenant.
-        assert_eq!(TransportConfig::parse("async", 4, 2), Ok(POOL));
-        // Any other name — the removed governed pool's has no arm of its own
+        // Any other name — the removed backends' have no arm of their own
         // either — is the typed error. Every quoted name in the message: the
         // offender, then the choices.
-        let err = TransportConfig::parse("quorum", 4, 2).expect_err("unknown backend");
-        let quoted: Vec<&str> = err.split('\'').skip(1).step_by(2).collect();
-        assert_eq!(quoted, ["quorum", "bsp", "steal", "async"], "{err}");
+        for unknown in ["quorum", "async"] {
+            let err = TransportConfig::parse(unknown, 4, 2).expect_err("unknown backend");
+            let quoted: Vec<&str> = err.split('\'').skip(1).step_by(2).collect();
+            assert_eq!(quoted, [unknown, "bsp", "steal"], "{err}");
+        }
     }
 
     #[test]

@@ -299,23 +299,6 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Early-exit form of [`squared_distance`]: returns the exact squared
-/// distance if it is at most `bound`, or `None` as soon as the accumulating
-/// sum proves it exceeds `bound`. Accumulation order matches
-/// [`squared_distance`], so a returned value is bit-identical to it.
-pub fn squared_distance_within(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
-    assert_eq!(a.len(), b.len(), "vector length mismatch");
-    let mut sum = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        let d = x - y;
-        sum += d * d;
-        if sum > bound {
-            return None;
-        }
-    }
-    Some(sum)
-}
-
 /// Euclidean distance between two equally sized vectors.
 pub fn distance(a: &[f64], b: &[f64]) -> f64 {
     squared_distance(a, b).sqrt()

@@ -10,27 +10,15 @@
 //! kernel, independent divides), which is where the signature-resolution and
 //! k-means hot paths spend their time at fleet scale.
 //!
-//! Chunking changes floating-point summation order, so results differ from
-//! the exact serial kernels in the last ulps. Every kernel therefore ships in
-//! two forms:
-//!
-//! * `*_chunked` — the lane-parallel form (fast path),
-//! * `*_exact` — bit-identical to the historical serial loops,
-//!
-//! plus a mode-dispatching wrapper that picks one per process. Setting the
-//! `DEJAVU_EXACT_KERNELS` environment variable (to anything but `0` or the
-//! empty string) before first use forces the exact-order kernels everywhere —
-//! the one-flag fallback the bit-exact golden tests run under. The mode is
-//! read once and cached, so the dispatch on the hot path is a single branch
-//! on a cached boolean, and a process can never observe a mid-run switch.
-//!
-//! The chunked and exact forms agree within 1e-9 relative error (pinned by a
-//! property test across random dims and lengths, including remainder edge
-//! cases), and bounded kernels only ever disagree on `Some`-vs-`None` when
-//! the true sum sits within rounding distance of the bound — callers treat
-//! the bound as a tolerance, never as a semantic cliff.
-
-use std::sync::OnceLock;
+//! Chunking changes floating-point summation order only once a vector fills
+//! a whole block: below [`BLOCK`] elements — the paper's 8-metric signature
+//! included — the kernels never enter the block loop and *are* the textbook
+//! serial loop, bit for bit. From [`BLOCK`] elements up they agree with it
+//! within 1e-9 relative error, and the bounded kernels only ever disagree on
+//! `Some`-vs-`None` when the true sum sits within rounding distance of the
+//! bound — callers treat the bound as a tolerance, never as a semantic
+//! cliff. Both facts are pinned against serial reference loops by this
+//! module's tests and by a property test across random dims and lengths.
 
 /// Accumulator-array width: 4 × f64 fills a 256-bit vector register (AVX2),
 /// and narrower SIMD ISAs split it into two 128-bit halves for free.
@@ -40,20 +28,6 @@ pub const LANES: usize = 4;
 /// [`LANES`]-wide chunks, so the horizontal reduction (which serializes) is
 /// paid once per 16 dimensions instead of once per element.
 pub const BLOCK: usize = 4 * LANES;
-
-/// True when this process runs the exact-order kernels everywhere.
-///
-/// Resolved once from the `DEJAVU_EXACT_KERNELS` environment variable on
-/// first use and cached for the process lifetime.
-#[inline]
-pub fn exact_kernels() -> bool {
-    static MODE: OnceLock<bool> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        std::env::var("DEJAVU_EXACT_KERNELS")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
 
 /// Horizontal sum of the accumulator array, pairwise so the reduction tree
 /// is fixed regardless of how the lanes were filled.
@@ -68,25 +42,8 @@ fn hsum(acc: [f64; LANES]) -> f64 {
 ///
 /// Panics if the slices have different lengths.
 #[inline]
-pub fn squared_distance_chunked(a: &[f64], b: &[f64]) -> f64 {
-    squared_distance_within_chunked(a, b, f64::INFINITY).expect("infinite bound never exits early")
-}
-
-/// Squared Euclidean distance, exact serial order — bit-identical to
-/// [`crate::dataset::squared_distance`].
-#[inline]
-pub fn squared_distance_exact(a: &[f64], b: &[f64]) -> f64 {
-    crate::dataset::squared_distance(a, b)
-}
-
-/// Mode-dispatching squared Euclidean distance.
-#[inline]
 pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
-    if exact_kernels() {
-        squared_distance_exact(a, b)
-    } else {
-        squared_distance_chunked(a, b)
-    }
+    squared_distance_within(a, b, f64::INFINITY).expect("infinite bound never exits early")
 }
 
 /// Early-exit squared distance, lane-parallel: accumulates [`BLOCK`]-element
@@ -97,7 +54,7 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn squared_distance_within_chunked(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
+pub fn squared_distance_within(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
     assert_eq!(a.len(), b.len(), "vector length mismatch");
     let n = a.len();
     let mut sum = 0.0;
@@ -128,23 +85,6 @@ pub fn squared_distance_within_chunked(a: &[f64], b: &[f64], bound: f64) -> Opti
     Some(sum)
 }
 
-/// Early-exit squared distance, exact serial order — bit-identical to
-/// [`crate::dataset::squared_distance_within`].
-#[inline]
-pub fn squared_distance_within_exact(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
-    crate::dataset::squared_distance_within(a, b, bound)
-}
-
-/// Mode-dispatching early-exit squared distance.
-#[inline]
-pub fn squared_distance_within(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
-    if exact_kernels() {
-        squared_distance_within_exact(a, b, bound)
-    } else {
-        squared_distance_within_chunked(a, b, bound)
-    }
-}
-
 /// Early-exit *normalized* squared-difference sum, lane-parallel: accumulates
 /// `((x - y) / max(|x|, |y|, floor))²` per dimension — the scale-invariant
 /// distance of the shared signature repository. The per-dimension divides are
@@ -157,7 +97,7 @@ pub fn squared_distance_within(a: &[f64], b: &[f64], bound: f64) -> Option<f64> 
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn normalized_sq_sum_chunked(a: &[f64], b: &[f64], floor: f64, bound: f64) -> Option<f64> {
+pub fn normalized_sq_sum(a: &[f64], b: &[f64], floor: f64, bound: f64) -> Option<f64> {
     assert_eq!(a.len(), b.len(), "vector length mismatch");
     let n = a.len();
     let mut sum = 0.0;
@@ -192,39 +132,38 @@ pub fn normalized_sq_sum_chunked(a: &[f64], b: &[f64], floor: f64, bound: f64) -
     Some(sum)
 }
 
-/// Early-exit normalized squared-difference sum, exact serial order —
-/// bit-identical to the historical signature-resolution loop.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn normalized_sq_sum_exact(a: &[f64], b: &[f64], floor: f64, bound: f64) -> Option<f64> {
-    assert_eq!(a.len(), b.len(), "vector length mismatch");
-    let mut sum = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        let scale = x.abs().max(y.abs()).max(floor);
-        let d = (x - y) / scale;
-        sum += d * d;
-        if sum > bound {
-            return None;
-        }
-    }
-    Some(sum)
-}
-
-/// Mode-dispatching early-exit normalized squared-difference sum.
-#[inline]
-pub fn normalized_sq_sum(a: &[f64], b: &[f64], floor: f64, bound: f64) -> Option<f64> {
-    if exact_kernels() {
-        normalized_sq_sum_exact(a, b, floor, bound)
-    } else {
-        normalized_sq_sum_chunked(a, b, floor, bound)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serial reference: the textbook early-exit loop the kernels replace.
+    fn serial_squared_distance_within(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
+        assert_eq!(a.len(), b.len());
+        let mut sum = 0.0;
+        for (x, y) in a.iter().zip(b) {
+            let d = x - y;
+            sum += d * d;
+            if sum > bound {
+                return None;
+            }
+        }
+        Some(sum)
+    }
+
+    /// Serial reference: the historical signature-resolution loop.
+    fn serial_normalized_sq_sum(a: &[f64], b: &[f64], floor: f64, bound: f64) -> Option<f64> {
+        assert_eq!(a.len(), b.len());
+        let mut sum = 0.0;
+        for (&x, &y) in a.iter().zip(b) {
+            let scale = x.abs().max(y.abs()).max(floor);
+            let d = (x - y) / scale;
+            sum += d * d;
+            if sum > bound {
+                return None;
+            }
+        }
+        Some(sum)
+    }
 
     fn vecs(len: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
         let mut rng = dejavu_simcore::SimRng::seed_from_u64(seed);
@@ -242,23 +181,77 @@ mod tests {
         let scale = a.abs().max(b.abs()).max(1e-300);
         assert!(
             ((a - b) / scale).abs() <= 1e-9,
-            "chunked {a} vs exact {b} diverged"
+            "kernel {a} vs serial {b} diverged"
         );
     }
 
+    const FLOOR: f64 = 1e-9;
+
     #[test]
-    fn chunked_matches_exact_across_remainders() {
-        // Cover len % LANES ∈ {0, 1, LANES-1}, sub-block lengths, and the
-        // empty vector.
-        for len in [0, 1, 3, 4, 5, 7, 8, 15, 16, 17, 19, 30, 32, 33, 128] {
+    fn kernels_are_the_serial_loop_below_one_block() {
+        // Why there is no exact-order fallback: a vector shorter than BLOCK
+        // (the paper's 8-metric signature is one) never enters the block
+        // loop, so every kernel is the serial loop bit for bit — under any
+        // bound, whether the pair survives it or not.
+        const TABLE_1_METRICS: usize = 8;
+        const _: () = assert!(TABLE_1_METRICS < BLOCK);
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        for len in 0..BLOCK {
+            for seed in 0..8 {
+                let (a, b) = vecs(len, 0xB17 ^ (len as u64) << 8 ^ seed);
+                let sq = serial_squared_distance_within(&a, &b, f64::INFINITY).unwrap();
+                let nm = serial_normalized_sq_sum(&a, &b, FLOOR, f64::INFINITY).unwrap();
+                assert_eq!(squared_distance(&a, &b).to_bits(), sq.to_bits(), "{len}");
+                for (sq_bound, nm_bound) in [
+                    (f64::INFINITY, f64::INFINITY),
+                    (sq, nm),
+                    (sq * 0.5, nm * 0.5),
+                    (0.0, 0.0),
+                ] {
+                    assert_eq!(
+                        bits(squared_distance_within(&a, &b, sq_bound)),
+                        bits(serial_squared_distance_within(&a, &b, sq_bound)),
+                        "len {len} bound {sq_bound}"
+                    );
+                    assert_eq!(
+                        bits(normalized_sq_sum(&a, &b, FLOOR, nm_bound)),
+                        bits(serial_normalized_sq_sum(&a, &b, FLOOR, nm_bound)),
+                        "len {len} bound {nm_bound}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_serial_loop_across_remainders() {
+        // From one block up the summation order differs: 30 is the full
+        // metric catalogue, the rest cover len % LANES ∈ {0, 1, LANES-1}
+        // tails after one and after several blocks.
+        for len in [
+            BLOCK - 1,
+            BLOCK,
+            BLOCK + 1,
+            BLOCK + LANES - 1,
+            30,
+            2 * BLOCK,
+            2 * BLOCK + 1,
+            3 * BLOCK + LANES - 1,
+            8 * BLOCK,
+        ] {
             let (a, b) = vecs(len, 0x5EED ^ len as u64);
-            rel_close(
-                squared_distance_chunked(&a, &b),
-                squared_distance_exact(&a, &b),
-            );
-            let exact = normalized_sq_sum_exact(&a, &b, 1e-9, f64::INFINITY).unwrap();
-            let chunked = normalized_sq_sum_chunked(&a, &b, 1e-9, f64::INFINITY).unwrap();
-            rel_close(chunked, exact);
+            let sq = serial_squared_distance_within(&a, &b, f64::INFINITY).unwrap();
+            let nm = serial_normalized_sq_sum(&a, &b, FLOOR, f64::INFINITY).unwrap();
+            rel_close(squared_distance(&a, &b), sq);
+            // Away from the bound the kernels and the serial loop agree on
+            // Some-vs-None; only a sum within rounding of it may differ.
+            rel_close(squared_distance_within(&a, &b, sq * 2.0).unwrap(), sq);
+            rel_close(normalized_sq_sum(&a, &b, FLOOR, nm * 2.0).unwrap(), nm);
+            assert!(sq > 0.0 && nm > 0.0, "len {len}: degenerate pair");
+            assert_eq!(squared_distance_within(&a, &b, sq * 0.5), None);
+            assert_eq!(serial_squared_distance_within(&a, &b, sq * 0.5), None);
+            assert_eq!(normalized_sq_sum(&a, &b, FLOOR, nm * 0.5), None);
+            assert_eq!(serial_normalized_sq_sum(&a, &b, FLOOR, nm * 0.5), None);
         }
     }
 
@@ -266,19 +259,19 @@ mod tests {
     fn bounded_kernels_exit_on_far_pairs() {
         let a = vec![0.0; 64];
         let b = vec![10.0; 64];
-        assert_eq!(squared_distance_within_chunked(&a, &b, 1.0), None);
-        assert_eq!(normalized_sq_sum_chunked(&a, &b, 1e-9, 1.0), None);
-        assert!(squared_distance_within_chunked(&a, &a, 1.0).is_some());
-        assert_eq!(normalized_sq_sum_chunked(&a, &a, 1e-9, 1.0), Some(0.0));
+        assert_eq!(squared_distance_within(&a, &b, 1.0), None);
+        assert_eq!(normalized_sq_sum(&a, &b, FLOOR, 1.0), None);
+        assert!(squared_distance_within(&a, &a, 1.0).is_some());
+        assert_eq!(normalized_sq_sum(&a, &a, FLOOR, 1.0), Some(0.0));
     }
 
     #[test]
-    fn bounded_chunked_sum_is_independent_of_the_bound() {
+    fn bounded_sum_is_independent_of_the_bound() {
         // The returned value must not depend on where the early-exit checks
         // landed: a surviving pair yields the same sum under any bound.
         let (a, b) = vecs(37, 77);
-        let loose = squared_distance_within_chunked(&a, &b, f64::INFINITY).unwrap();
-        let tight = squared_distance_within_chunked(&a, &b, loose * (1.0 + 1e-12)).unwrap();
+        let loose = squared_distance_within(&a, &b, f64::INFINITY).unwrap();
+        let tight = squared_distance_within(&a, &b, loose * (1.0 + 1e-12)).unwrap();
         assert_eq!(loose.to_bits(), tight.to_bits());
     }
 }

@@ -7,6 +7,7 @@
 //! dejavu-serve --checkpoint-dir /var/lib/dejavu/ckpt --checkpoint-every 64
 //! ```
 
+use dejavu_fleet::snapshot::MAX_SHARDS;
 use dejavu_fleet::{SharedRepoConfig, SharedSignatureRepository};
 use dejavu_serve::{serve_tcp, ServeConfig, ServePersistence};
 use std::process::ExitCode;
@@ -21,7 +22,8 @@ USAGE:
 OPTIONS:
     --listen ADDR          TCP listen address (default 127.0.0.1:7117)
     --unix PATH            serve on a Unix domain socket instead of TCP
-    --shards N             shard count for a fresh repository (default 16)
+    --shards N             shard count for a fresh repository (default 16;
+                           1..=65536, the bound snapshots are read under)
     --max-sessions N       admission cap on concurrent sessions (default 64)
     --snapshot-in PATH     seed the repository from a snapshot file
     --checkpoint-dir PATH  durable checkpoints: every acknowledged mutation
@@ -63,7 +65,9 @@ fn parse_args() -> Result<Options, String> {
         } else if arg == "--shards" {
             opts.shards = value("--shards")?
                 .parse()
-                .map_err(|e| format!("--shards: {e}"))?;
+                .ok()
+                .filter(|n| (1..=MAX_SHARDS).contains(n))
+                .ok_or(format!("--shards needs a shard count in 1..={MAX_SHARDS}"))?;
         } else if arg == "--max-sessions" {
             opts.max_sessions = value("--max-sessions")?
                 .parse()
@@ -162,7 +166,7 @@ fn main() -> ExitCode {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let (repo, persistence) = match boot(&opts) {

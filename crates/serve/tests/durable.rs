@@ -284,3 +284,36 @@ fn snapshot_in_conflicts_with_an_existing_checkpoint_directory() {
         "boot error should name the conflicting flag: {stderr}"
     );
 }
+
+/// A shard count past what checkpoint manifests are read back under is
+/// refused before anything is written — by the flag parser (exit 2, naming
+/// the flag and the range) and by `ServePersistence::create` itself — so a
+/// daemon can never acknowledge writes into a directory it cannot replay.
+#[test]
+fn out_of_range_shard_counts_are_refused_before_a_manifest_exists() {
+    let dir = scratch_dir("shards");
+    let ckpt = dir.join("ckpt");
+    let past = dejavu_fleet::snapshot::MAX_SHARDS + 1;
+    for shards in [past.to_string(), "0".to_string()] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_dejavu-serve"))
+            .args(["--shards", &shards, "--checkpoint-dir"])
+            .arg(&ckpt)
+            .output()
+            .expect("dejavu-serve runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "--shards {shards}: {stderr}");
+        assert!(
+            stderr.contains("--shards") && stderr.contains("1..=65536"),
+            "--shards {shards}: {stderr}"
+        );
+        assert!(!ckpt.exists(), "--shards {shards} touched {ckpt:?}");
+    }
+
+    let repo = SharedSignatureRepository::new(SharedRepoConfig {
+        shards: past,
+        ..SharedRepoConfig::default()
+    });
+    let err = ServePersistence::create(&ckpt, &repo, 4).expect_err("unreplayable shard count");
+    assert!(err.to_string().contains("1..=65536"), "{err}");
+    assert!(!ServePersistence::exists(&ckpt) && !ckpt.exists());
+}

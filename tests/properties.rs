@@ -1248,65 +1248,119 @@ fn trace_rescaling_stays_in_range() {
     });
 }
 
-/// The chunked (lane-parallel) distance kernels agree with the exact-order
-/// serial kernels to 1e-9 relative error on every length — including the
-/// remainder shapes `len % LANES ∈ {0, 1, LANES - 1}` that exercise the
-/// scalar tail — and the early-exit variants agree on *whether* a bound is
-/// exceeded whenever the margin is clear.
+/// The chunked (lane-parallel) distance kernels against the textbook serial
+/// loops they replaced. Below one block — the paper's 8-metric signature
+/// included — a kernel never leaves its scalar tail and must be the serial
+/// loop bit for bit, bounded or not; that is why no exact-order fallback
+/// exists. From one block up (30 is the full metric catalogue, the rest
+/// straddle block and lane boundaries) they agree to 1e-9 relative error,
+/// and the early-exit variants agree on *whether* a bound is exceeded
+/// whenever the margin is clear.
 #[test]
 fn chunked_kernels_agree_with_exact_order_within_1e9_relative() {
-    use dejavu::ml::kernels;
+    use dejavu::ml::kernels::{self, BLOCK, LANES};
 
+    fn serial_sq(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
+        let mut sum = 0.0;
+        for (x, y) in a.iter().zip(b) {
+            let d = x - y;
+            sum += d * d;
+            if sum > bound {
+                return None;
+            }
+        }
+        Some(sum)
+    }
+    fn serial_norm(a: &[f64], b: &[f64], floor: f64, bound: f64) -> Option<f64> {
+        let mut sum = 0.0;
+        for (&x, &y) in a.iter().zip(b) {
+            let d = (x - y) / x.abs().max(y.abs()).max(floor);
+            sum += d * d;
+            if sum > bound {
+                return None;
+            }
+        }
+        Some(sum)
+    }
     let rel_close = |a: f64, b: f64| {
         let scale = a.abs().max(b.abs()).max(1e-300);
         (a - b).abs() / scale <= 1e-9
     };
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    let floor = 1e-9;
+
+    let mut lens: Vec<usize> = (0..BLOCK).collect();
+    lens.extend([BLOCK, BLOCK + 1, 30, 3 * BLOCK, 3 * BLOCK + LANES - 1]);
     cases(24, |rng, case| {
-        // Lengths straddling the block/lane boundaries: multiples of LANES,
-        // one past, and one short (len % LANES ∈ {0, 1, LANES - 1}).
-        for base in [0usize, kernels::LANES, kernels::BLOCK, 3 * kernels::BLOCK] {
-            for len in [base, base + 1, (base + kernels::LANES) - 1] {
-                let mut a = Vec::with_capacity(len);
-                let mut b = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let mag = 10f64.powi(rng.uniform_usize(7) as i32 - 3);
-                    let x = rng.uniform(-1.0, 1.0) * mag;
-                    a.push(x);
-                    b.push(x + rng.uniform(-0.5, 0.5) * mag);
-                }
-                let label = format!("case {case} len {len}");
+        for &len in &lens {
+            let mut a = Vec::with_capacity(len);
+            let mut b = Vec::with_capacity(len);
+            for _ in 0..len {
+                let mag = 10f64.powi(rng.uniform_usize(7) as i32 - 3);
+                let x = rng.uniform(-1.0, 1.0) * mag;
+                a.push(x);
+                b.push(x + rng.uniform(-0.5, 0.5) * mag);
+            }
+            let label = format!("case {case} len {len}");
+            let sq = serial_sq(&a, &b, f64::INFINITY).expect("infinite bound");
+            let nm = serial_norm(&a, &b, floor, f64::INFINITY).expect("infinite bound");
 
-                let exact = kernels::squared_distance_exact(&a, &b);
-                let chunked = kernels::squared_distance_chunked(&a, &b);
-                assert!(rel_close(exact, chunked), "{label}: {exact} vs {chunked}");
+            if len < BLOCK {
+                assert_eq!(
+                    kernels::squared_distance(&a, &b).to_bits(),
+                    sq.to_bits(),
+                    "{label}"
+                );
+                for (sq_bound, nm_bound) in [
+                    (f64::INFINITY, f64::INFINITY),
+                    (sq, nm),
+                    (sq * 0.5, nm * 0.5),
+                ] {
+                    assert_eq!(
+                        bits(kernels::squared_distance_within(&a, &b, sq_bound)),
+                        bits(serial_sq(&a, &b, sq_bound)),
+                        "{label} bound {sq_bound}"
+                    );
+                    assert_eq!(
+                        bits(kernels::normalized_sq_sum(&a, &b, floor, nm_bound)),
+                        bits(serial_norm(&a, &b, floor, nm_bound)),
+                        "{label} bound {nm_bound}"
+                    );
+                }
+                continue;
+            }
 
-                // Early-exit variants: with a bound clearly above the true
-                // sum both must return it; clearly below (and a nonempty
-                // vector, so the bound check actually runs), both must bail.
-                let mut bounds = vec![(exact * 2.0 + 1.0, true)];
-                if exact > 2.0 {
-                    bounds.push((exact * 0.5 - 1.0, false));
-                }
-                for (bound, expect_some) in bounds {
-                    let we = kernels::squared_distance_within_exact(&a, &b, bound);
-                    let wc = kernels::squared_distance_within_chunked(&a, &b, bound);
-                    assert_eq!(we.is_some(), expect_some, "{label} bound {bound}");
-                    assert_eq!(wc.is_some(), expect_some, "{label} bound {bound}");
-                    if let (Some(ve), Some(vc)) = (we, wc) {
-                        assert!(rel_close(ve, vc), "{label}: {ve} vs {vc}");
-                    }
-                }
-
-                let floor = 1e-9;
-                let ne = kernels::normalized_sq_sum_exact(&a, &b, floor, f64::INFINITY)
-                    .expect("infinite bound");
-                let nc = kernels::normalized_sq_sum_chunked(&a, &b, floor, f64::INFINITY)
-                    .expect("infinite bound");
-                assert!(rel_close(ne, nc), "{label}: {ne} vs {nc}");
-                let below = kernels::normalized_sq_sum_chunked(&a, &b, floor, ne * 0.5 - 1.0);
-                if len > 0 && ne > 2.0 {
-                    assert!(below.is_none(), "{label}: chunked ignored the bound");
-                }
+            let chunked = kernels::squared_distance(&a, &b);
+            assert!(rel_close(sq, chunked), "{label}: {sq} vs {chunked}");
+            // Early-exit variants: with a bound clearly above the true sum
+            // both must return it; clearly below, both must bail.
+            let above = kernels::squared_distance_within(&a, &b, sq * 2.0 + 1.0);
+            assert!(
+                above.is_some_and(|v| rel_close(sq, v)),
+                "{label}: {above:?}"
+            );
+            let above = kernels::normalized_sq_sum(&a, &b, floor, nm * 2.0 + 1.0);
+            assert!(
+                above.is_some_and(|v| rel_close(nm, v)),
+                "{label}: {above:?}"
+            );
+            if sq > 2.0 {
+                let bound = sq * 0.5 - 1.0;
+                assert_eq!(serial_sq(&a, &b, bound), None, "{label}");
+                assert_eq!(
+                    kernels::squared_distance_within(&a, &b, bound),
+                    None,
+                    "{label}"
+                );
+            }
+            if nm > 2.0 {
+                let bound = nm * 0.5 - 1.0;
+                assert_eq!(serial_norm(&a, &b, floor, bound), None, "{label}");
+                assert_eq!(
+                    kernels::normalized_sq_sum(&a, &b, floor, bound),
+                    None,
+                    "{label}"
+                );
             }
         }
     });
