@@ -212,6 +212,11 @@ impl DejaVuController {
         &self.stats
     }
 
+    /// Consumes the controller, handing over its statistics.
+    pub fn into_stats(self) -> DejaVuStats {
+        self.stats
+    }
+
     /// The signature metrics chosen by feature selection, once trained.
     pub fn signature_metrics(&self) -> Option<&[String]> {
         self.builder.as_ref().map(|b| b.metric_names())

@@ -66,15 +66,15 @@ pub fn pct(fraction: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dejavu_simcore::SimTime;
+    use dejavu_simcore::SimDuration;
 
     #[test]
     fn report_renders_sections_and_values() {
         let mut r = Report::new("demo");
         r.kv("savings", pct(0.55));
-        let mut s = TimeSeries::new("x");
-        s.push(SimTime::ZERO, 1.0);
-        s.push(SimTime::from_hours(1.0), 3.0);
+        let mut s = TimeSeries::new("x", SimDuration::from_hours(1.0));
+        s.push(1.0);
+        s.push(3.0);
         r.hourly("series", &s, 2);
         let text = r.to_string();
         assert!(text.contains("demo"));

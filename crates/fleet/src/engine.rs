@@ -253,11 +253,11 @@ impl SimulationEngine {
             platform,
             client: ClientEmulator::default(),
             rng: SimRng::seed_from_u64(cfg.seed),
-            load: TimeSeries::with_capacity("load", ticks),
-            instance_count: TimeSeries::with_capacity("instances", ticks),
-            capacity_units: TimeSeries::with_capacity("capacity", ticks),
-            latency_ms: TimeSeries::with_capacity("latency_ms", ticks),
-            qos_percent: TimeSeries::with_capacity("qos_percent", ticks),
+            load: TimeSeries::with_capacity("load", cfg.tick, ticks),
+            instance_count: TimeSeries::with_capacity("instances", cfg.tick, ticks),
+            capacity_units: TimeSeries::with_capacity("capacity", cfg.tick, ticks),
+            latency_ms: TimeSeries::with_capacity("latency_ms", cfg.tick, ticks),
+            qos_percent: TimeSeries::with_capacity("qos_percent", cfg.tick, ticks),
             adaptations: Vec::new(),
             change_points: Vec::new(),
             tick_secs: cfg.tick.as_secs(),
@@ -311,11 +311,11 @@ impl SimulationEngine {
             state.violated_ticks += 1;
         }
 
-        state.load.push(t, level);
-        state.instance_count.push(t, allocation.count() as f64);
-        state.capacity_units.push(t, allocation.capacity_units());
-        state.latency_ms.push(t, perf.latency_ms);
-        state.qos_percent.push(t, perf.qos_percent);
+        state.load.push(level);
+        state.instance_count.push(allocation.count() as f64);
+        state.capacity_units.push(allocation.capacity_units());
+        state.latency_ms.push(perf.latency_ms);
+        state.qos_percent.push(perf.qos_percent);
 
         let observation = Observation {
             time: t,
@@ -451,6 +451,54 @@ mod tests {
         assert_eq!(r.load.len(), (48.0 * 3600.0 / 300.0) as usize);
         assert!(r.total_cost > 0.0);
         assert_eq!(r.controller, "fixed-max");
+    }
+
+    #[test]
+    fn a_run_holds_one_value_per_tick_per_series_and_never_regrows() {
+        let cfg = RunConfig::scale_out("grid", short_trace(), RequestMix::update_heavy(), 4)
+            .with_tick(SimDuration::from_secs(120.0));
+        let engine = SimulationEngine::new(cfg);
+        let svc = CassandraService::update_heavy();
+        let mut fixed = FixedMax::new(&engine.config().space.clone());
+        let mut state = engine.begin();
+        let ticks = state.ticks;
+        assert_eq!(ticks, 2 * 24 * 30);
+        let buffers = |s: &RunState| {
+            [
+                &s.load,
+                &s.instance_count,
+                &s.capacity_units,
+                &s.latency_ms,
+                &s.qos_percent,
+            ]
+            .map(|series| series.values().as_ptr())
+        };
+        assert!(engine.step(&mut state, &svc, &mut fixed));
+        let allocated_at_begin = buffers(&state);
+        while engine.step(&mut state, &svc, &mut fixed) {}
+        // The buffers `begin` sized for `ticks` values are the ones the run
+        // ends with: no series outgrew its allocation.
+        assert_eq!(buffers(&state), allocated_at_begin);
+        let r = engine.finish(state, "fixed-max");
+        for series in [
+            &r.load,
+            &r.instance_count,
+            &r.capacity_units,
+            &r.latency_ms,
+            &r.qos_percent,
+        ] {
+            assert_eq!(series.len(), ticks, "{}", series.name());
+            let (last, _) = series.iter().last().expect("a two-day run has points");
+            assert_eq!(last.as_secs(), 120.0 * (ticks - 1) as f64);
+        }
+        // A series is its name, its grid step and one vector — no second
+        // vector of timestamps.
+        assert_eq!(
+            std::mem::size_of::<TimeSeries>(),
+            std::mem::size_of::<String>()
+                + std::mem::size_of::<f64>()
+                + std::mem::size_of::<Vec<f64>>()
+        );
     }
 
     #[test]

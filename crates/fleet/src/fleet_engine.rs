@@ -496,7 +496,7 @@ impl FleetEngine {
             id: spec.id,
             name: spec.name.clone(),
             namespace: spec.namespace(),
-            stats: controller.stats().clone(),
+            stats: controller.into_stats(),
             cross_tenant_hits,
             joined_epoch: start_epoch,
             active_epochs,
@@ -517,7 +517,7 @@ use dejavu_cloud::ProvisioningController;
 mod tests {
     use super::*;
     use crate::scenario::ScenarioBuilder;
-    use crate::transport::REPORT_BATCH_CAP;
+    use crate::transport::{BspBarrier, BARRIER_BLOCK, REPORT_BATCH_CAP};
     use dejavu_simcore::SimDuration;
     use std::time::Duration;
 
@@ -570,6 +570,148 @@ mod tests {
         }
         let (ra, rb) = (bsp.shared_repo.as_ref(), other.shared_repo.as_ref());
         assert_eq!(ra.map(|r| &r.stats), rb.map(|r| &r.stats), "{label}");
+    }
+
+    /// A tamper hook that poisons `victim`'s outbox, so the tenant's first
+    /// buffered operation panics mid-step.
+    fn poison_outbox(victim: usize) -> impl Fn(&mut [TenantRun]) + Copy + Send + 'static {
+        move |runs: &mut [TenantRun]| {
+            let outbox = Arc::clone(runs[victim].outbox.as_ref().expect("shared-mode outbox"));
+            std::thread::spawn(move || {
+                let _guard = outbox.lock().unwrap();
+                panic!("poison tenant {victim}'s outbox");
+            })
+            .join()
+            .unwrap_err();
+        }
+    }
+
+    /// Every field of a report the simulation determines: two barrier runs
+    /// of one scenario must agree on all of it, whatever stepped the tenants.
+    fn assert_same_run(a: &FleetReport, b: &FleetReport, label: &str) {
+        assert_matches_barrier(a, b, label);
+        assert_eq!(a.epochs, b.epochs, "{label}");
+        assert_eq!(a.transport, b.transport, "{label}");
+        assert_eq!(a.tenants.len(), b.tenants.len(), "{label}");
+        for (x, y) in a.tenants.iter().zip(&b.tenants) {
+            let label = format!("{label} {}", x.name);
+            for (p, q) in [
+                (&x.dejavu.load, &y.dejavu.load),
+                (&x.dejavu.instance_count, &y.dejavu.instance_count),
+                (&x.dejavu.capacity_units, &y.dejavu.capacity_units),
+                (&x.dejavu.qos_percent, &y.dejavu.qos_percent),
+            ] {
+                assert_eq!(p.values(), q.values(), "{label} {}", p.name());
+            }
+            assert_eq!(x.dejavu.reuse_cost, y.dejavu.reuse_cost, "{label}");
+            assert_eq!(
+                x.dejavu.slo_violation_fraction, y.dejavu.slo_violation_fraction,
+                "{label}"
+            );
+            assert_eq!(x.dejavu.adaptations, y.dejavu.adaptations, "{label}");
+            assert_eq!(
+                x.dejavu.settle_times_secs, y.dejavu.settle_times_secs,
+                "{label}"
+            );
+            assert_eq!(x.stats, y.stats, "{label}");
+            assert_eq!(
+                x.first_fleet_reuse_epoch, y.first_fleet_reuse_epoch,
+                "{label}"
+            );
+            assert_eq!(x.failed_epoch, y.failed_epoch, "{label}");
+        }
+        let (ra, rb) = (a.shared_repo.as_ref(), b.shared_repo.as_ref());
+        assert_eq!(
+            ra.map(|r| (r.entries, r.anchors, &r.shard_stats)),
+            rb.map(|r| (r.entries, r.anchors, &r.shard_stats)),
+            "{label}"
+        );
+    }
+
+    /// Two days of the mixed standard fleet: learning-day reclusterings and
+    /// reuse-day cache hits, laid out family by family, so blocks differ in
+    /// cost and workers finish them in a different order every run.
+    fn lumpy_scenario(tenants: usize) -> Scenario {
+        let mut scenario = crate::scenario::standard_fleet(tenants, 2, 11);
+        scenario.tick = SimDuration::from_secs(600.0);
+        scenario
+    }
+
+    #[test]
+    fn block_dealing_is_invisible_for_any_worker_count_around_the_block_size() {
+        // One block short of full, exactly full, one tenant spilling into a
+        // second block, and several blocks with a ragged last one.
+        for tenants in [
+            BARRIER_BLOCK - 1,
+            BARRIER_BLOCK,
+            BARRIER_BLOCK + 1,
+            3 * BARRIER_BLOCK + 5,
+        ] {
+            let run = |workers: usize| {
+                let engine = FleetEngine::new(
+                    lumpy_scenario(tenants),
+                    FleetConfig {
+                        workers,
+                        ..Default::default()
+                    },
+                );
+                within(
+                    WATCHDOG,
+                    format!("{tenants} tenants {workers} workers"),
+                    move || engine.run(),
+                )
+            };
+            let one = run(1);
+            assert_eq!(one.tenants_failed(), 0);
+            assert!(
+                one.total_fleet_reuses() > 0,
+                "{tenants} tenants never reused"
+            );
+            for workers in [2, 3, 4] {
+                assert_same_run(
+                    &one,
+                    &run(workers),
+                    &format!("{tenants} tenants {workers} workers"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_poisoned_tenant_fails_alone_and_at_the_same_epoch_for_any_worker_count() {
+        let tenants = 3 * BARRIER_BLOCK + 5;
+        // A tenant of the first block, of a middle one, and the last tenant
+        // of the ragged last block.
+        for victim in [3, BARRIER_BLOCK + 4, tenants - 1] {
+            let run = |workers: usize| {
+                let engine = FleetEngine::new(
+                    lumpy_scenario(tenants),
+                    FleetConfig {
+                        workers,
+                        ..Default::default()
+                    },
+                );
+                let shared = Arc::new(SharedSignatureRepository::new(engine.config().repo.clone()));
+                within(
+                    WATCHDOG,
+                    format!("victim {victim} {workers} workers"),
+                    move || engine.run_tampered(shared, &BspBarrier, &poison_outbox(victim)),
+                )
+            };
+            let one = run(1);
+            assert!(
+                one.tenants[victim].failed_epoch.is_some(),
+                "victim {victim}"
+            );
+            assert_eq!(one.tenants_failed(), 1, "victim {victim}");
+            for workers in [2, 3, 4] {
+                assert_same_run(
+                    &one,
+                    &run(workers),
+                    &format!("victim {victim} {workers} workers"),
+                );
+            }
+        }
     }
 
     #[test]
@@ -760,15 +902,7 @@ mod tests {
         // mid-step. Every transport must catch the unwind, retire just that
         // tenant (surfacing the epoch in the report), and let the survivors
         // run to completion.
-        let poison = |runs: &mut [TenantRun]| {
-            let outbox = Arc::clone(runs[1].outbox.as_ref().expect("shared-mode outbox"));
-            std::thread::spawn(move || {
-                let _guard = outbox.lock().unwrap();
-                panic!("poison tenant 1's outbox");
-            })
-            .join()
-            .unwrap_err();
-        };
+        let poison = poison_outbox(1);
         // The larger fleet exceeds the pool's report-batch cap, and with
         // `staleness = 2` the poisoned tenant runs ahead of the committer: its
         // abort notice can reach the committer before earlier reports of its

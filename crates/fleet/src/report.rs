@@ -424,15 +424,15 @@ mod tests {
 
     #[test]
     fn failed_tenants_are_counted_and_rendered() {
-        use dejavu_simcore::{SimTime, TimeSeries};
+        use dejavu_simcore::{SimDuration, SimTime, TimeSeries};
         let zero_run = RunResult {
             name: "t0".into(),
             controller: "c".into(),
-            load: TimeSeries::new("load"),
-            instance_count: TimeSeries::new("instances"),
-            capacity_units: TimeSeries::new("capacity"),
-            latency_ms: TimeSeries::new("latency"),
-            qos_percent: TimeSeries::new("qos"),
+            load: TimeSeries::new("load", SimDuration::ZERO),
+            instance_count: TimeSeries::new("instances", SimDuration::ZERO),
+            capacity_units: TimeSeries::new("capacity", SimDuration::ZERO),
+            latency_ms: TimeSeries::new("latency", SimDuration::ZERO),
+            qos_percent: TimeSeries::new("qos", SimDuration::ZERO),
             slo_violation_fraction: 0.0,
             total_cost: 0.0,
             reuse_cost: 0.0,

@@ -5,8 +5,8 @@
 //! The fleet engine prepares tenants and consumes a [`TransportOutcome`];
 //! everything in between is a [`CommitTransport`]. There are two:
 //!
-//! * [`BspBarrier`] is the classic engine, verbatim: worker threads step
-//!   disjoint tenant chunks through an epoch, the barrier drains every
+//! * [`BspBarrier`] is the classic engine: worker threads step disjoint
+//!   tenant blocks through an epoch, the barrier drains every
 //!   outbox in tenant order, commits one batch per shard, then runs the TTL
 //!   sweep. Mid-epoch the store is frozen, so runs are **bit-deterministic**
 //!   for any worker count. It is the oracle every other run is compared to.
@@ -637,11 +637,21 @@ fn commit_epoch(
     }
 }
 
+/// Tenants a barrier worker takes per trip to the epoch's block queue: small
+/// enough that the last blocks of an epoch even out what the workers drew
+/// before (one learning-day reclustering costs as much as thirty ordinary
+/// tenant-epochs), large enough that the queue's lock is taken once per
+/// ~quarter millisecond of stepping.
+pub(crate) const BARRIER_BLOCK: usize = 16;
+
 /// The classic bulk-synchronous barrier transport.
 ///
-/// Within an epoch each worker thread steps a disjoint chunk of tenants,
-/// reading the shared repository through read-only, epoch-frozen snapshots
-/// while buffering writes in per-tenant outboxes. At the epoch barrier the
+/// Within an epoch the worker threads deal themselves the tenants in blocks
+/// of [`BARRIER_BLOCK`] until none are left, reading the shared repository
+/// through read-only, epoch-frozen snapshots while buffering writes in
+/// per-tenant outboxes. Which worker steps a tenant is left to the
+/// scheduler and cannot reach the result: a tenant reads only the frozen
+/// store and writes only its own outbox. At the epoch barrier the
 /// outboxes are drained **in tenant order**, applied through one batched
 /// commit per shard, and the TTL sweep runs. Mid-epoch the shared store never
 /// changes and commits have a fixed order, so the fleet result is a pure
@@ -658,8 +668,10 @@ impl CommitTransport for BspBarrier {
     fn drive(&self, harness: &mut FleetHarness<'_>) -> TransportOutcome {
         let (ctx, mut handles) = harness.split();
         let mut out = TransportOutcome::new(self.name(), handles.len());
-        let chunk_size = handles.len().div_ceil(ctx.workers.max(1)).max(1);
+        let blocks_per_epoch = handles.len().div_ceil(BARRIER_BLOCK);
+        let workers = ctx.workers.clamp(1, blocks_per_epoch.max(1));
         let recorder = ctx.recorder();
+        recorder.with(|m| m.barrier_workers.set(workers as u64));
         // Per-epoch commit scratch, hoisted out of the epoch loop so capacity
         // carries over: after the first epoch the barrier commit allocates
         // nothing.
@@ -671,29 +683,42 @@ impl CommitTransport for BspBarrier {
                 epoch: epoch as u64,
             });
             let epoch_started = recorder.start();
-            // A panicking tenant (service model or poisoned outbox) is
-            // caught on its worker, retired at this barrier and surfaced in
-            // the outcome — the rest of the fleet finishes its run.
+            // Workers pull blocks until none are left, so one that drew a
+            // block of learning-day tenants is not waited for by one that
+            // drew cache hits. A panicking tenant (service model or poisoned
+            // outbox) is caught on its worker, retired at this barrier and
+            // surfaced in the outcome — the rest of the fleet finishes its
+            // run.
+            let blocks = Mutex::new(handles.chunks_mut(BARRIER_BLOCK));
+            let next_block = || blocks.lock().expect("block queue poisoned").next();
             let failed_now: Vec<usize> = std::thread::scope(|scope| {
-                let mut joins = Vec::new();
-                for chunk in handles.chunks_mut(chunk_size) {
-                    joins.push(scope.spawn(move || {
-                        let mut failed = Vec::new();
-                        for handle in chunk {
-                            if catch_unwind(AssertUnwindSafe(|| handle.step_epoch(epoch, &ctx)))
-                                .is_err()
-                            {
-                                failed.push(handle.index());
+                let joins: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let busy_started = recorder.start();
+                            let mut failed = Vec::new();
+                            while let Some(block) = next_block() {
+                                for handle in block {
+                                    if catch_unwind(AssertUnwindSafe(|| {
+                                        handle.step_epoch(epoch, &ctx)
+                                    }))
+                                    .is_err()
+                                    {
+                                        failed.push(handle.index());
+                                    }
+                                }
                             }
-                        }
-                        failed
-                    }));
-                }
+                            recorder.add_elapsed(busy_started, |m| &m.barrier_busy_ns);
+                            failed
+                        })
+                    })
+                    .collect();
                 joins
                     .into_iter()
                     .flat_map(|join| join.join().expect("barrier worker panicked"))
                     .collect()
             });
+            recorder.add_elapsed(epoch_started, |m| &m.barrier_wall_ns);
             for tenant in failed_now {
                 out.failed[tenant] = Some(epoch);
                 handles[tenant].retire();

@@ -369,6 +369,16 @@ pub struct Metrics {
     /// Bytes served from capacity-retaining scratch (arena slabs, commit
     /// batch buffers) instead of fresh heap allocations.
     pub scratch_bytes_saved: Counter,
+    /// Wall time (ns) barrier workers spent inside their block loops, summed
+    /// over workers and epochs.
+    pub barrier_busy_ns: Counter,
+    /// Wall time (ns) of the barrier's step phase — spawning the workers to
+    /// joining the last one — summed over epochs. Times `barrier_workers`
+    /// it is the worker time the phase offered; what `barrier_busy_ns`
+    /// leaves of that was spent idle, waiting for the slowest worker.
+    pub barrier_wall_ns: Counter,
+    /// Worker threads the barrier stepped tenants on.
+    pub barrier_workers: Gauge,
 
     // --- fleet engine ---
     /// Per-epoch wall time (ns): barrier-to-barrier under BSP, fold-to-fold
@@ -605,6 +615,10 @@ pub struct Recorder {
     core: Option<Arc<RecorderCore>>,
 }
 
+fn nanos_since(started: Instant) -> u64 {
+    started.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
 impl Recorder {
     /// The no-op handle: no storage, every probe folds away.
     pub const fn disabled() -> Self {
@@ -663,8 +677,16 @@ impl Recorder {
     #[inline]
     pub fn observe(&self, started: Option<Instant>, pick: impl FnOnce(&Metrics) -> &LogHistogram) {
         if let (Some(core), Some(started)) = (self.core.as_deref(), started) {
-            let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            pick(&core.metrics).record(nanos);
+            pick(&core.metrics).record(nanos_since(started));
+        }
+    }
+
+    /// Adds the nanoseconds since `started` to the counter `pick` selects —
+    /// [`Recorder::observe`] for time that is summed, not distributed.
+    #[inline]
+    pub fn add_elapsed(&self, started: Option<Instant>, pick: impl FnOnce(&Metrics) -> &Counter) {
+        if let (Some(core), Some(started)) = (self.core.as_deref(), started) {
+            pick(&core.metrics).add(nanos_since(started));
         }
     }
 
@@ -806,6 +828,7 @@ mod tests {
         assert!(!rec.is_enabled());
         assert!(rec.start().is_none());
         rec.observe(None, |m| &m.lookup_ns);
+        rec.add_elapsed(None, |m| &m.barrier_busy_ns);
         rec.event(|| unreachable!("event closure must not run when disabled"));
         rec.with(|_| unreachable!("with closure must not run when disabled"));
         assert!(rec.metrics().is_none());

@@ -60,6 +60,11 @@ pub struct ObsReport {
     /// `(name, summary)` histograms, sorted by name; names ending in `_ns`
     /// hold wall-clock values.
     pub histograms: Vec<(String, HistogramSummary)>,
+    /// The share of the barrier step phase's worker time (`barrier_wall_ns`
+    /// on each of `barrier_workers` threads) that no worker spent stepping
+    /// tenants — time lost waiting for the epoch's slowest worker. `None`
+    /// when no barrier run was recorded.
+    pub barrier_idle: Option<f64>,
     /// Per-shard frontier lag, indexed by shard.
     pub shard_lag: Vec<ShardLag>,
     /// `(kind, count)` trace-event counts, sorted by kind.
@@ -70,14 +75,17 @@ pub struct ObsReport {
     pub trace_tail: Vec<String>,
 }
 
-/// Counters whose values depend on thread scheduling, not the simulation.
+/// Counters whose values depend on thread scheduling or the wall clock, not
+/// the simulation.
 /// `scratch_bytes_saved` is here because capacity reuse depends on the order
 /// buffers fill, which the async transport leaves to arrival order. The
 /// `durable_*` trio is here because fold sizes and byte counts track the
 /// commit interleaving, which K > 0 runs leave to scheduling.
 /// `report_batches` is here because a pool worker's batch ends when its
 /// deque happens to run dry.
-const SCHEDULING_COUNTERS: [&str; 8] = [
+const SCHEDULING_COUNTERS: [&str; 10] = [
+    "barrier_busy_ns",
+    "barrier_wall_ns",
     "durable_bytes",
     "durable_folds",
     "durable_segments",
@@ -103,6 +111,8 @@ const STABLE_EVENT_KINDS: [&str; 6] = [
 impl ObsReport {
     pub(crate) fn build(metrics: &Metrics, events: Vec<Event>, dropped: u64) -> Self {
         let counters = vec![
+            ("barrier_busy_ns".to_string(), metrics.barrier_busy_ns.get()),
+            ("barrier_wall_ns".to_string(), metrics.barrier_wall_ns.get()),
             ("checkpoints".to_string(), metrics.checkpoints.get()),
             (
                 "committer_restarts".to_string(),
@@ -130,7 +140,10 @@ impl ObsReport {
             ("sweep_reclaimed".to_string(), metrics.sweep_reclaimed.get()),
             ("wakes".to_string(), metrics.wakes.get()),
         ];
-        let gauges = vec![("finalize_ns".to_string(), metrics.finalize_ns.get())];
+        let gauges = vec![
+            ("barrier_workers".to_string(), metrics.barrier_workers.get()),
+            ("finalize_ns".to_string(), metrics.finalize_ns.get()),
+        ];
         let histograms = vec![
             (
                 "commit_batch_ns".to_string(),
@@ -177,10 +190,14 @@ impl ObsReport {
             .rev()
             .map(Event::render)
             .collect();
+        let offered = metrics.barrier_wall_ns.get() as f64 * metrics.barrier_workers.get() as f64;
+        let barrier_idle = (offered > 0.0)
+            .then(|| (1.0 - metrics.barrier_busy_ns.get() as f64 / offered).max(0.0));
         ObsReport {
             counters,
             gauges,
             histograms,
+            barrier_idle,
             shard_lag: metrics.shard_lag.snapshot(),
             event_counts,
             events_dropped: dropped,
@@ -206,6 +223,12 @@ impl ObsReport {
         out.push_str("gauges\n");
         for (name, value) in &self.gauges {
             out.push_str(&format!("  {name} {value}\n"));
+        }
+        if let Some(idle) = self.barrier_idle {
+            out.push_str(&format!(
+                "  barrier worker idle {:.1}% (1 - barrier_busy_ns / (barrier_wall_ns x barrier_workers))\n",
+                idle * 100.0
+            ));
         }
         out.push_str("histograms\n");
         for (name, h) in &self.histograms {
@@ -376,6 +399,27 @@ mod tests {
         assert!(stable.contains("  tree_visits count=2 max=9"));
         assert!(stable.contains("  ttl_sweep 1\n"));
         assert!(!stable.contains("worker_steal"));
+    }
+
+    #[test]
+    fn barrier_idle_share_is_rendered_from_the_wall_clock_probes_only() {
+        let report = sample().report().unwrap();
+        assert_eq!(report.barrier_idle, None);
+        assert!(!report.render().contains("barrier worker idle"));
+
+        let rec = sample();
+        rec.with(|m| {
+            m.barrier_workers.set(2);
+            m.barrier_wall_ns.add(1_000);
+            m.barrier_busy_ns.add(1_900);
+        });
+        let report = rec.report().unwrap();
+        let idle = report.barrier_idle.expect("a barrier ran");
+        assert!((idle - 0.05).abs() < 1e-12, "{idle}");
+        assert!(report.render().contains("  barrier worker idle 5.0% ("));
+        assert!(report.render_json().contains("\"barrier_busy_ns\": 1900"));
+        // Wall-clock class: none of it reaches the stable rendering.
+        assert!(!report.render_stable().contains("barrier"));
     }
 
     #[test]

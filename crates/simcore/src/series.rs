@@ -1,49 +1,48 @@
-//! Time series of `(SimTime, value)` points with the reductions the experiment
-//! reports need (hourly averages, time-weighted integrals, SLO-violation
-//! fractions).
+//! Uniform-grid time series with the reductions the experiment reports need
+//! (hourly averages, time-weighted integrals, SLO-violation fractions).
 
-use crate::time::{SimTime, SECS_PER_HOUR};
+use crate::time::{SimDuration, SimTime, SECS_PER_HOUR};
 use serde::{Deserialize, Serialize};
 
-/// An append-only series of timestamped values.
+/// An append-only series of values sampled on a uniform time grid.
 ///
-/// Values are expected to be appended in non-decreasing time order; the series
-/// enforces this because out-of-order points would silently corrupt the
-/// time-weighted reductions used for cost accounting.
+/// Point `i` sits at `step_secs * i as f64` seconds — the expression the
+/// simulation engine computes its tick times with, so the derived timestamps
+/// are bit-equal to the ticks that produced the values. Only the values are
+/// stored: five series of one run share one grid, and a timestamp vector per
+/// series would be most of a tenant's memory.
 ///
 /// # Example
 ///
 /// ```
-/// use dejavu_simcore::{SimTime, TimeSeries};
-/// let mut s = TimeSeries::new("latency_ms");
-/// s.push(SimTime::from_secs(0.0), 10.0);
-/// s.push(SimTime::from_secs(60.0), 20.0);
+/// use dejavu_simcore::{SimDuration, SimTime, TimeSeries};
+/// let mut s = TimeSeries::new("latency_ms", SimDuration::from_secs(60.0));
+/// s.push(10.0);
+/// s.push(20.0);
 /// assert_eq!(s.len(), 2);
 /// assert_eq!(s.mean(), 15.0);
+/// assert_eq!(s.iter().last(), Some((SimTime::from_secs(60.0), 20.0)));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TimeSeries {
     name: String,
-    times: Vec<f64>,
+    step_secs: f64,
     values: Vec<f64>,
 }
 
 impl TimeSeries {
-    /// Creates an empty series with a human-readable name (used in reports).
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            times: Vec::new(),
-            values: Vec::new(),
-        }
+    /// Creates an empty series with a human-readable name (used in reports)
+    /// whose points are `step` apart, the first at time zero.
+    pub fn new(name: impl Into<String>, step: SimDuration) -> Self {
+        Self::with_capacity(name, step, 0)
     }
 
     /// Creates an empty series preallocated for `capacity` samples — use when
     /// the sample count is known up front (one per observation tick).
-    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
+    pub fn with_capacity(name: impl Into<String>, step: SimDuration, capacity: usize) -> Self {
         TimeSeries {
             name: name.into(),
-            times: Vec::with_capacity(capacity),
+            step_secs: step.as_secs(),
             values: Vec::with_capacity(capacity),
         }
     }
@@ -53,22 +52,8 @@ impl TimeSeries {
         &self.name
     }
 
-    /// Appends a point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the last appended point.
-    pub fn push(&mut self, time: SimTime, value: f64) {
-        if let Some(&last) = self.times.last() {
-            assert!(
-                time.as_secs() >= last,
-                "time series {} must be appended in order ({} < {})",
-                self.name,
-                time.as_secs(),
-                last
-            );
-        }
-        self.times.push(time.as_secs());
+    /// Appends the value of the next grid point.
+    pub fn push(&mut self, value: f64) {
         self.values.push(value);
     }
 
@@ -82,22 +67,22 @@ impl TimeSeries {
         self.values.is_empty()
     }
 
+    /// Time of point `index`, in seconds.
+    fn time_secs(&self, index: usize) -> f64 {
+        self.step_secs * index as f64
+    }
+
     /// Iterator over `(SimTime, value)` points.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.times
+        self.values
             .iter()
-            .zip(self.values.iter())
-            .map(|(&t, &v)| (SimTime::from_secs(t), v))
+            .enumerate()
+            .map(|(i, &v)| (SimTime::from_secs(self.time_secs(i)), v))
     }
 
     /// The raw values.
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// The raw timestamps, in seconds.
-    pub fn times_secs(&self) -> &[f64] {
-        &self.times
     }
 
     /// Unweighted mean of the values (0.0 if empty).
@@ -149,14 +134,14 @@ impl TimeSeries {
     /// cost reports.
     pub fn integral_until(&self, end: SimTime) -> f64 {
         let mut total = 0.0;
-        for i in 0..self.times.len() {
-            let t0 = self.times[i];
-            let t1 = if i + 1 < self.times.len() {
-                self.times[i + 1]
+        for (i, &value) in self.values.iter().enumerate() {
+            let t0 = self.time_secs(i);
+            let t1 = if i + 1 < self.values.len() {
+                self.time_secs(i + 1)
             } else {
                 end.as_secs().max(t0)
             };
-            total += self.values[i] * (t1 - t0);
+            total += value * (t1 - t0);
         }
         total
     }
@@ -168,8 +153,8 @@ impl TimeSeries {
         let mut out = vec![f64::NAN; hours];
         let mut sums = vec![0.0; hours];
         let mut counts = vec![0usize; hours];
-        for (&t, &v) in self.times.iter().zip(self.values.iter()) {
-            let h = (t / SECS_PER_HOUR) as usize;
+        for (i, &v) in self.values.iter().enumerate() {
+            let h = (self.time_secs(i) / SECS_PER_HOUR) as usize;
             if h < hours {
                 sums[h] += v;
                 counts[h] += 1;
@@ -188,12 +173,18 @@ impl TimeSeries {
     /// Value in effect at `time` (the latest point at or before `time`), if any.
     pub fn value_at(&self, time: SimTime) -> Option<f64> {
         let t = time.as_secs();
-        let idx = self.times.partition_point(|&x| x <= t);
-        if idx == 0 {
-            None
-        } else {
-            Some(self.values[idx - 1])
+        // Grid times never decrease with the index, so the points at or
+        // before `t` are a prefix: bisect for its length.
+        let (mut lo, mut hi) = (0, self.values.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.time_secs(mid) <= t {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
+        lo.checked_sub(1).map(|i| self.values[i])
     }
 }
 
@@ -201,17 +192,17 @@ impl TimeSeries {
 mod tests {
     use super::*;
 
-    fn series(points: &[(f64, f64)]) -> TimeSeries {
-        let mut s = TimeSeries::new("test");
-        for &(t, v) in points {
-            s.push(SimTime::from_secs(t), v);
+    fn series(step_secs: f64, values: &[f64]) -> TimeSeries {
+        let mut s = TimeSeries::new("test", SimDuration::from_secs(step_secs));
+        for &v in values {
+            s.push(v);
         }
         s
     }
 
     #[test]
     fn basic_reductions() {
-        let s = series(&[(0.0, 1.0), (10.0, 3.0), (20.0, 5.0)]);
+        let s = series(10.0, &[1.0, 3.0, 5.0]);
         assert_eq!(s.len(), 3);
         assert_eq!(s.mean(), 3.0);
         assert_eq!(s.max(), Some(5.0));
@@ -220,8 +211,15 @@ mod tests {
     }
 
     #[test]
+    fn points_sit_on_the_grid() {
+        let s = series(120.0, &[7.0, 8.0, 9.0]);
+        let points: Vec<(f64, f64)> = s.iter().map(|(t, v)| (t.as_secs(), v)).collect();
+        assert_eq!(points, vec![(0.0, 7.0), (120.0, 8.0), (240.0, 9.0)]);
+    }
+
+    #[test]
     fn fraction_above_and_below() {
-        let s = series(&[(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)]);
+        let s = series(1.0, &[1.0, 2.0, 3.0, 4.0]);
         assert!((s.fraction_above(2.5) - 0.5).abs() < 1e-12);
         assert!((s.fraction_below(1.5) - 0.25).abs() < 1e-12);
     }
@@ -229,43 +227,36 @@ mod tests {
     #[test]
     fn integral_holds_last_value() {
         // 2 instances for 100 s then 4 instances for 100 s.
-        let s = series(&[(0.0, 2.0), (100.0, 4.0)]);
+        let s = series(100.0, &[2.0, 4.0]);
         let integral = s.integral_until(SimTime::from_secs(200.0));
         assert!((integral - (2.0 * 100.0 + 4.0 * 100.0)).abs() < 1e-9);
     }
 
     #[test]
     fn hourly_means_forward_fill() {
-        let mut s = TimeSeries::new("alloc");
-        s.push(SimTime::from_hours(0.0), 2.0);
-        s.push(SimTime::from_hours(2.0), 6.0);
+        // One point every two hours: the odd hours hold no point.
+        let s = series(2.0 * SECS_PER_HOUR, &[2.0, 6.0]);
         let means = s.hourly_means(4);
         assert_eq!(means, vec![2.0, 2.0, 6.0, 6.0]);
     }
 
     #[test]
     fn value_at_lookup() {
-        let s = series(&[(10.0, 1.0), (20.0, 2.0)]);
-        assert_eq!(s.value_at(SimTime::from_secs(5.0)), None);
-        assert_eq!(s.value_at(SimTime::from_secs(10.0)), Some(1.0));
-        assert_eq!(s.value_at(SimTime::from_secs(15.0)), Some(1.0));
-        assert_eq!(s.value_at(SimTime::from_secs(25.0)), Some(2.0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_order_push_panics() {
-        let mut s = TimeSeries::new("bad");
-        s.push(SimTime::from_secs(10.0), 1.0);
-        s.push(SimTime::from_secs(5.0), 2.0);
+        let s = series(10.0, &[1.0, 2.0, 3.0]);
+        assert_eq!(s.value_at(SimTime::from_secs(0.0)), Some(1.0));
+        assert_eq!(s.value_at(SimTime::from_secs(10.0)), Some(2.0));
+        assert_eq!(s.value_at(SimTime::from_secs(15.0)), Some(2.0));
+        assert_eq!(s.value_at(SimTime::from_secs(25.0)), Some(3.0));
+        assert_eq!(s.value_at(SimTime::from_secs(1e9)), Some(3.0));
     }
 
     #[test]
     fn empty_series_reductions() {
-        let s = TimeSeries::new("empty");
+        let s = series(30.0, &[]);
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.max(), None);
+        assert_eq!(s.value_at(SimTime::from_secs(100.0)), None);
         assert_eq!(s.integral_until(SimTime::from_secs(100.0)), 0.0);
         assert_eq!(s.hourly_means(3), vec![0.0, 0.0, 0.0]);
     }

@@ -380,6 +380,35 @@ fn obs_recording_is_invisible_to_results_across_transports() {
         batches > 0 && batches < reports,
         "{batches} batches carried {reports} reports"
     );
+    // The same fleet behind the barrier is three blocks dealt to two
+    // workers, with a clock read around every worker's block loop and every
+    // epoch's step phase: obs on must still bit-match obs off, and the probes
+    // must add up — no worker can be busy for longer than the phase lasted.
+    let barrier = |recorder: Recorder| {
+        FleetEngine::new(
+            scenario.clone(),
+            FleetConfig {
+                workers: 2,
+                recorder,
+                ..Default::default()
+            },
+        )
+        .run()
+    };
+    let recorder = Recorder::enabled();
+    let off = barrier(Recorder::disabled());
+    let on = barrier(recorder.clone());
+    assert_reports_bit_match(&off, &on, "obs on a block-dealing barrier");
+    let metrics = recorder.metrics().expect("enabled recorder");
+    let (busy, wall) = (metrics.barrier_busy_ns.get(), metrics.barrier_wall_ns.get());
+    assert_eq!(metrics.barrier_workers.get(), 2);
+    assert!(
+        busy > 0 && busy <= 2 * wall,
+        "busy {busy} ns inside 2 x {wall} ns"
+    );
+    let report = recorder.report().expect("enabled recorder reports");
+    assert!(report.render().contains("barrier worker idle"));
+    assert!(!report.render_stable().contains("barrier"));
 }
 
 /// The simulation-determined subset of the obs report (`render_stable`) is

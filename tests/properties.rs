@@ -16,7 +16,7 @@ use dejavu::ml::kmeans::{KMeans, KMeansConfig};
 use dejavu::ml::Dataset;
 use dejavu::services::service::EvalContext;
 use dejavu::services::{CassandraService, ServiceModel};
-use dejavu::simcore::{SimDuration, SimRng, SimTime};
+use dejavu::simcore::{SimDuration, SimRng, SimTime, TimeSeries};
 use dejavu::traces::LoadTrace;
 
 /// Runs `body` for `n` deterministic random cases, labelling failures with the
@@ -1227,6 +1227,174 @@ fn compacted_snapshots_drop_only_never_hit_entries() {
         // surviving entry has hits, so compaction is idempotent.
         assert_eq!(loaded.save_snapshot(), compacted, "case {case}");
         assert_eq!(loaded.save_snapshot_compact(), compacted, "case {case}");
+    });
+}
+
+/// The explicit `(t, v)` series the uniform-grid [`TimeSeries`] replaced, as
+/// the reference its reductions are compared to bit for bit.
+struct PointSeries {
+    times: Vec<f64>,
+    values: Vec<f64>,
+}
+
+impl PointSeries {
+    fn integral_until(&self, end: SimTime) -> f64 {
+        let mut total = 0.0;
+        for i in 0..self.times.len() {
+            let t0 = self.times[i];
+            let t1 = match self.times.get(i + 1) {
+                Some(&next) => next,
+                None => end.as_secs().max(t0),
+            };
+            total += self.values[i] * (t1 - t0);
+        }
+        total
+    }
+
+    fn hourly_means(&self, hours: usize) -> Vec<f64> {
+        let mut sums = vec![0.0; hours];
+        let mut counts = vec![0usize; hours];
+        for (&t, &v) in self.times.iter().zip(&self.values) {
+            let h = (t / 3600.0) as usize;
+            if h < hours {
+                sums[h] += v;
+                counts[h] += 1;
+            }
+        }
+        let mut last = 0.0;
+        (0..hours)
+            .map(|h| {
+                if counts[h] > 0 {
+                    last = sums[h] / counts[h] as f64;
+                }
+                last
+            })
+            .collect()
+    }
+
+    fn value_at(&self, time: SimTime) -> Option<f64> {
+        let idx = self.times.partition_point(|&x| x <= time.as_secs());
+        idx.checked_sub(1).map(|i| self.values[i])
+    }
+}
+
+/// A grid series is the explicit-timestamp series whose timestamps are
+/// `step * i`: the same points, and every reduction the same bits — at the
+/// fleet's ticks, at a step longer than an hour (so `hourly_means` has hours
+/// to forward-fill) and at arbitrary ones.
+#[test]
+fn grid_series_matches_the_explicit_timestamp_series_bit_for_bit() {
+    let bits = |v: f64| v.to_bits();
+    cases(64, |rng, case| {
+        let step = match case % 6 {
+            0 => 30.0,
+            1 => 120.0,
+            2 => 600.0,
+            3 => 5400.0,
+            4 => 3.0 * 3600.0 + rng.uniform(0.0, 3600.0),
+            _ => rng.uniform(0.5, 2000.0),
+        };
+        let n = rng.uniform_usize(400);
+        let mut grid = TimeSeries::with_capacity("prop", SimDuration::from_secs(step), n);
+        let mut points = PointSeries {
+            times: Vec::new(),
+            values: Vec::new(),
+        };
+        for i in 0..n {
+            let v = rng.uniform(-50.0, 150.0);
+            grid.push(v);
+            points.times.push(step * i as f64);
+            points.values.push(v);
+        }
+        let label = format!("case {case}: step {step}, {n} points");
+        assert_eq!(grid.len(), n, "{label}");
+        assert_eq!(grid.is_empty(), n == 0, "{label}");
+        assert_eq!(grid.values(), points.values, "{label}");
+        let times: Vec<u64> = grid.iter().map(|(t, _)| bits(t.as_secs())).collect();
+        let expected: Vec<u64> = points.times.iter().map(|&t| bits(t)).collect();
+        assert_eq!(times, expected, "{label}: iter() times");
+        let iter_values: Vec<f64> = grid.iter().map(|(_, v)| v).collect();
+        assert_eq!(iter_values, points.values, "{label}: iter() values");
+
+        let span = step * n as f64;
+        // Ends inside the series, on its last point, just past it, far out.
+        for end in [
+            0.0,
+            span * 0.5,
+            step * n.saturating_sub(1) as f64,
+            span,
+            span * 3.0 + 1.0,
+        ] {
+            let end = SimTime::from_secs(end);
+            assert_eq!(
+                bits(grid.integral_until(end)),
+                bits(points.integral_until(end)),
+                "{label}: integral until {end:?}"
+            );
+        }
+        // Fewer hours than the series spans, exactly enough, and more.
+        let spanned = (span / 3600.0).ceil() as usize;
+        for hours in [0, spanned / 2, spanned, spanned + 5] {
+            let got: Vec<u64> = grid.hourly_means(hours).into_iter().map(bits).collect();
+            let want: Vec<u64> = points.hourly_means(hours).into_iter().map(bits).collect();
+            assert_eq!(got, want, "{label}: {hours} hourly means");
+        }
+        // An empty series has no first point to be at or after; otherwise
+        // time zero is the first point. Then: on a point, between two, on
+        // the last, past the end.
+        let mut probes = vec![0.0, span, span * 2.0 + 7.0];
+        for _ in 0..8 {
+            let i = rng.uniform_usize(n.max(1));
+            probes.push(step * i as f64);
+            probes.push(step * i as f64 + rng.uniform(0.0, step));
+        }
+        for t in probes {
+            let t = SimTime::from_secs(t);
+            assert_eq!(
+                grid.value_at(t).map(bits),
+                points.value_at(t).map(bits),
+                "{label}: value at {t:?}"
+            );
+        }
+        if n == 0 {
+            assert_eq!(grid.value_at(SimTime::from_secs(1.0)), None, "{label}");
+        }
+
+        let values = &points.values;
+        let mean = if n == 0 {
+            0.0
+        } else {
+            values.iter().sum::<f64>() / n as f64
+        };
+        assert_eq!(bits(grid.mean()), bits(mean), "{label}: mean");
+        assert_eq!(
+            grid.max(),
+            values.iter().copied().reduce(f64::max),
+            "{label}"
+        );
+        assert_eq!(
+            grid.min(),
+            values.iter().copied().reduce(f64::min),
+            "{label}"
+        );
+        let threshold = rng.uniform(-50.0, 150.0);
+        let share = |keep: &dyn Fn(f64) -> bool| {
+            if n == 0 {
+                0.0
+            } else {
+                values.iter().filter(|&&v| keep(v)).count() as f64 / n as f64
+            }
+        };
+        assert_eq!(
+            grid.fraction_above(threshold),
+            share(&|v| v > threshold),
+            "{label}"
+        );
+        assert_eq!(
+            grid.fraction_below(threshold),
+            share(&|v| v < threshold),
+            "{label}"
+        );
     });
 }
 
