@@ -104,26 +104,43 @@ fn correlation_ratio(values: &[f64], labels: &[usize]) -> f64 {
     }
 }
 
-fn pearson(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len() as f64;
-    if a.is_empty() {
-        return 0.0;
+/// Absolute Pearson correlation of every pair of columns, as a symmetric
+/// `n_attrs×n_attrs` matrix with a zero diagonal; a pair involving a
+/// constant column correlates 0. Each column is centred and its sum of
+/// squares taken once, so a pair costs one dot product; the per-term
+/// expressions `(x − m)·(y − m)` and `(x − m)²` and their summation order
+/// are those of the pairwise form, so every entry is bit-identical to it.
+fn feature_correlations(columns: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let n_attrs = columns.len();
+    let centred: Vec<Vec<f64>> = columns
+        .iter()
+        .map(|c| {
+            let mean = c.iter().sum::<f64>() / c.len() as f64;
+            c.iter().map(|x| x - mean).collect()
+        })
+        .collect();
+    let sum_sq: Vec<f64> = centred
+        .iter()
+        .map(|c| c.iter().fold(0.0, |acc, d| acc + d.powi(2)))
+        .collect();
+    let mut feat_feat = vec![vec![0.0; n_attrs]; n_attrs];
+    for a in 0..n_attrs {
+        for b in (a + 1)..n_attrs {
+            let (va, vb) = (sum_sq[a], sum_sq[b]);
+            let r = if va <= 0.0 || vb <= 0.0 {
+                0.0
+            } else {
+                let cov = centred[a]
+                    .iter()
+                    .zip(&centred[b])
+                    .fold(0.0, |acc, (x, y)| acc + x * y);
+                (cov / (va.sqrt() * vb.sqrt())).abs()
+            };
+            feat_feat[a][b] = r;
+            feat_feat[b][a] = r;
+        }
     }
-    let ma = a.iter().sum::<f64>() / n;
-    let mb = b.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma).powi(2);
-        vb += (y - mb).powi(2);
-    }
-    if va <= 0.0 || vb <= 0.0 {
-        0.0
-    } else {
-        (cov / (va.sqrt() * vb.sqrt())).abs()
-    }
+    feat_feat
 }
 
 impl CfsSelector {
@@ -174,20 +191,23 @@ impl CfsSelector {
             return Err(MlError::InvalidConfig("max_features must be > 0".into()));
         }
         let labels = data.labels()?;
-        let n_attrs = data.num_attributes();
-        let columns: Vec<Vec<f64>> = (0..n_attrs).map(|a| data.column(a)).collect();
+        let columns: Vec<Vec<f64>> = (0..data.num_attributes()).map(|a| data.column(a)).collect();
         let feat_class: Vec<f64> = columns
             .iter()
             .map(|c| correlation_ratio(c, &labels))
             .collect();
-        let mut feat_feat = vec![vec![0.0; n_attrs]; n_attrs];
-        for a in 0..n_attrs {
-            for b in (a + 1)..n_attrs {
-                let r = pearson(&columns[a], &columns[b]);
-                feat_feat[a][b] = r;
-                feat_feat[b][a] = r;
-            }
-        }
+        Ok(self.greedy(data, &feat_class, &feature_correlations(&columns)))
+    }
+
+    /// Greedy-stepwise forward search over precomputed feature–class and
+    /// feature–feature correlations.
+    fn greedy(
+        &self,
+        data: &Dataset,
+        feat_class: &[f64],
+        feat_feat: &[Vec<f64>],
+    ) -> FeatureSelection {
+        let n_attrs = feat_class.len();
         // If the correlation floor would filter out every attribute (tiny or
         // degenerate training sets), relax it so at least one metric survives.
         let strongest = feat_class.iter().copied().fold(0.0f64, f64::max);
@@ -205,9 +225,9 @@ impl CfsSelector {
                 if selected.contains(&cand) || feat_class[cand] < floor {
                     continue;
                 }
-                let mut trial = selected.clone();
-                trial.push(cand);
-                let m = self.merit(&feat_class, &feat_feat, &trial);
+                selected.push(cand);
+                let m = self.merit(feat_class, feat_feat, &selected);
+                selected.pop();
                 if best.map(|(_, bm)| m > bm).unwrap_or(true) {
                     best = Some((cand, m));
                 }
@@ -226,12 +246,12 @@ impl CfsSelector {
             .iter()
             .map(|&i| data.attribute_names()[i].clone())
             .collect();
-        Ok(FeatureSelection {
+        FeatureSelection {
             selected,
             selected_names,
             merit: current_merit,
             merit_trace,
-        })
+        }
     }
 }
 
@@ -356,17 +376,102 @@ mod tests {
         ));
     }
 
+    /// The pairwise Pearson correlation `select` used to compute for every
+    /// attribute pair, kept as the oracle for [`feature_correlations`].
+    fn pearson(a: &[f64], b: &[f64]) -> f64 {
+        let n = a.len() as f64;
+        if a.is_empty() {
+            return 0.0;
+        }
+        let ma = a.iter().sum::<f64>() / n;
+        let mb = b.iter().sum::<f64>() / n;
+        let mut cov = 0.0;
+        let mut va = 0.0;
+        let mut vb = 0.0;
+        for (&x, &y) in a.iter().zip(b) {
+            cov += (x - ma) * (y - mb);
+            va += (x - ma).powi(2);
+            vb += (y - mb).powi(2);
+        }
+        if va <= 0.0 || vb <= 0.0 {
+            0.0
+        } else {
+            (cov / (va.sqrt() * vb.sqrt())).abs()
+        }
+    }
+
     #[test]
-    fn pearson_basics() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&a, &b) - 1.0).abs() < 1e-12);
-        let c = [4.0, 3.0, 2.0, 1.0];
-        assert!(
-            (pearson(&a, &c) - 1.0).abs() < 1e-12,
-            "correlation is absolute"
-        );
-        let constant = [5.0, 5.0, 5.0, 5.0];
-        assert_eq!(pearson(&a, &constant), 0.0);
+    fn centred_correlations_match_the_pairwise_form_bit_for_bit() {
+        let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            m.iter()
+                .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        for seed in 0..16 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let rows = 1 + rng.uniform_usize(40);
+            let attrs = 1 + rng.uniform_usize(12);
+            let names = (0..attrs).map(|a| format!("m{a}")).collect();
+            let mut d = Dataset::new(names);
+            // Every third attribute is constant (zero variance); the rest
+            // mix scales so rounding differs between columns.
+            let scale: Vec<f64> = (0..attrs)
+                .map(|_| 10f64.powi(rng.uniform_usize(7) as i32 - 3))
+                .collect();
+            for i in 0..rows {
+                let features = (0..attrs)
+                    .map(|a| {
+                        if a % 3 == 2 {
+                            0.1 * a as f64
+                        } else {
+                            rng.normal(1.0, 1.0) * scale[a]
+                        }
+                    })
+                    .collect();
+                d.push_labeled(features, i % 3);
+            }
+            let columns: Vec<Vec<f64>> = (0..attrs).map(|a| d.column(a)).collect();
+            let mut oracle = vec![vec![0.0; attrs]; attrs];
+            for a in 0..attrs {
+                for b in (a + 1)..attrs {
+                    let r = pearson(&columns[a], &columns[b]);
+                    oracle[a][b] = r;
+                    oracle[b][a] = r;
+                }
+            }
+            let fast = feature_correlations(&columns);
+            assert_eq!(bits(&fast), bits(&oracle), "seed {seed}");
+
+            let selector = CfsSelector::default();
+            let labels = d.labels().unwrap();
+            let feat_class: Vec<f64> = columns
+                .iter()
+                .map(|c| correlation_ratio(c, &labels))
+                .collect();
+            let want = selector.greedy(&d, &feat_class, &oracle);
+            let got = selector.select(&d).unwrap();
+            assert_eq!(got.selected, want.selected, "seed {seed}");
+            assert_eq!(got.merit.to_bits(), want.merit.to_bits(), "seed {seed}");
+            let trace = |s: &FeatureSelection| -> Vec<u64> {
+                s.merit_trace.iter().map(|m| m.to_bits()).collect()
+            };
+            assert_eq!(trace(&got), trace(&want), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn feature_correlation_basics() {
+        let columns = [
+            vec![1.0, 2.0, 3.0, 4.0],
+            vec![2.0, 4.0, 6.0, 8.0],
+            vec![4.0, 3.0, 2.0, 1.0],
+            vec![5.0, 5.0, 5.0, 5.0],
+        ];
+        let r = feature_correlations(&columns);
+        assert!((r[0][1] - 1.0).abs() < 1e-12);
+        assert!((r[0][2] - 1.0).abs() < 1e-12, "correlation is absolute");
+        assert_eq!(r[0][3], 0.0, "a constant column correlates 0");
+        assert_eq!(r[1][0], r[0][1], "symmetric");
+        assert_eq!(r[2][2], 0.0, "zero diagonal");
     }
 }

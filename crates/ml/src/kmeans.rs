@@ -105,16 +105,25 @@ impl<'a> IntoIterator for &'a CentroidSlab {
     }
 }
 
-/// Reusable buffers for one [`KMeans::fit`] call: every restart runs over
-/// the same scratch, so the per-restart cost is arithmetic, not allocator
-/// traffic.
+/// Reusable buffers for one [`KMeans::fit`] or [`KMeans::fit_auto_k`] call:
+/// every restart of every candidate `k` runs over the same scratch, so the
+/// per-restart cost is arithmetic, not allocator traffic.
 struct FitScratch {
+    /// Largest `k` the seeds cover.
+    k_max: usize,
+    /// k-means++ seeding of every restart up to `k_max` centroids,
+    /// restart-major (`restarts×k_max×dims`); a fit with `k` clusters starts
+    /// from the first `k` centroids of each restart's block.
+    seeds: Vec<f64>,
     /// Flat `k×dims` centroid slab of the current restart.
     centroids: Vec<f64>,
     /// Flat `k×dims` accumulation slab for the Lloyd update step.
     next: Vec<f64>,
     counts: Vec<usize>,
     assignments: Vec<usize>,
+    /// Centroids and assignments of the best restart so far.
+    best_centroids: Vec<f64>,
+    best_assignments: Vec<usize>,
     /// `k×n` buffer of every centroid-to-point squared distance of one
     /// assignment step, computed centroid-by-centroid in point-parallel
     /// lanes.
@@ -128,23 +137,33 @@ struct FitScratch {
 }
 
 impl FitScratch {
-    fn new(n: usize, k: usize, dims: usize, points: &[&[f64]]) -> Self {
-        let mut points_t = vec![0.0f64; n * dims];
-        for (i, p) in points.iter().enumerate() {
-            for (d, &x) in p.iter().enumerate() {
-                points_t[d * n + i] = x;
-            }
-        }
-        FitScratch {
-            centroids: Vec::with_capacity(k * dims),
-            next: vec![0.0; k * dims],
-            counts: vec![0; k],
+    /// Scratch for fits of up to `k_max` clusters over `points`, with every
+    /// restart's k-means++ seeding already drawn. Restart `r` draws from its
+    /// own RNG seeded `seed ^ r·0x9E37_79B9`, and only the seeding draws
+    /// from it, so its first `k` seeds are exactly what seeding for `k`
+    /// alone would pick: one seeding per restart serves the whole `k` sweep.
+    fn seeded(points: &[&[f64]], k_max: usize, restarts: usize, seed: u64) -> Self {
+        let n = points.len();
+        let dims = points[0].len();
+        let mut scratch = FitScratch {
+            k_max,
+            seeds: Vec::with_capacity(restarts * k_max * dims),
+            centroids: Vec::with_capacity(k_max * dims),
+            next: vec![0.0; k_max * dims],
+            counts: vec![0; k_max],
             assignments: vec![0; n],
-            dist_all: vec![0.0; k * n],
-            points_t,
+            best_centroids: Vec::with_capacity(k_max * dims),
+            best_assignments: vec![0; n],
+            dist_all: vec![0.0; k_max * n],
+            points_t: transposed(points),
             dist: vec![0.0; n],
             weights: vec![0.0; n],
+        };
+        for r in 0..restarts {
+            let mut rng = SimRng::seed_from_u64(seed ^ (r as u64).wrapping_mul(0x9E37_79B9));
+            KMeans::kmeanspp_init(points, k_max, &mut rng, &mut scratch);
         }
+        scratch
     }
 }
 
@@ -171,72 +190,75 @@ impl KMeans {
                 "max_iterations must be at least 1".into(),
             ));
         }
-        // All restarts share one scratch allocation (the fits are small
-        // enough that allocator traffic, not arithmetic, dominates a naive
-        // formulation) and the winner is materialized once at the end.
-        let points: Vec<&[f64]> = data
-            .instances()
-            .iter()
-            .map(|i| i.features.as_slice())
-            .collect();
-        let mut scratch = FitScratch::new(points.len(), config.k, points[0].len(), &points);
-        Ok(Self::fit_with_scratch(&points, config, seed, &mut scratch))
+        let points = data_points(data);
+        let mut scratch = FitScratch::seeded(&points, config.k, config.restarts.max(1), seed);
+        Ok(Self::fit_with_scratch(&points, config, &mut scratch))
     }
 
-    /// [`fit`](Self::fit) over pre-validated points and caller-owned scratch,
-    /// so a `k` sweep ([`fit_auto_k`](Self::fit_auto_k)) transposes the data
-    /// and allocates buffers once instead of once per candidate `k`.
+    /// [`fit`](Self::fit) over pre-validated points and scratch seeded for
+    /// at least `config.k` clusters with `config.restarts` restarts, so a
+    /// `k` sweep ([`fit_auto_k`](Self::fit_auto_k)) transposes the data,
+    /// seeds and allocates buffers once instead of once per candidate `k`.
     fn fit_with_scratch(
         points: &[&[f64]],
         config: &KMeansConfig,
-        seed: u64,
         scratch: &mut FitScratch,
     ) -> KMeans {
-        let mut best: Option<(f64, Vec<f64>, Vec<usize>, usize)> = None;
-        let restarts = config.restarts.max(1);
-        for r in 0..restarts {
-            let mut rng = SimRng::seed_from_u64(seed ^ (r as u64).wrapping_mul(0x9E37_79B9));
-            let (inertia, iterations_run) = Self::fit_once(points, config, &mut rng, scratch);
-            if best.as_ref().map(|b| inertia < b.0).unwrap_or(true) {
-                best = Some((
-                    inertia,
-                    scratch.centroids.clone(),
-                    scratch.assignments.clone(),
-                    iterations_run,
-                ));
+        let dims = points[0].len();
+        let seeds_per_restart = scratch.k_max * dims;
+        let mut best_inertia = f64::INFINITY;
+        let mut best_iterations = 0;
+        for r in 0..config.restarts.max(1) {
+            let start = r * seeds_per_restart;
+            scratch.centroids.clear();
+            scratch
+                .centroids
+                .extend_from_slice(&scratch.seeds[start..start + config.k * dims]);
+            let (inertia, iterations_run) = Self::fit_once(points, config, scratch);
+            if r == 0 || inertia < best_inertia {
+                best_inertia = inertia;
+                best_iterations = iterations_run;
+                std::mem::swap(&mut scratch.centroids, &mut scratch.best_centroids);
+                std::mem::swap(&mut scratch.assignments, &mut scratch.best_assignments);
             }
         }
-        let (inertia, centroids, assignments, iterations_run) =
-            best.expect("at least one restart ran");
-        let dims = points[0].len();
         KMeans {
             centroids: CentroidSlab {
                 dims,
-                data: centroids,
+                data: scratch.best_centroids.clone(),
             },
-            inertia,
-            assignments,
-            iterations_run,
+            inertia: best_inertia,
+            assignments: scratch.best_assignments.clone(),
+            iterations_run: best_iterations,
         }
     }
 
-    /// One k-means run over flat `k×dims` centroid buffers: the Lloyd loop
-    /// reuses two slabs (current and next) instead of allocating a
-    /// vector-of-vectors per iteration, and the distance-heavy steps compute
-    /// many independent distances in parallel lanes over a dimension-major
-    /// layout ([`Self::distances_to_all`]), which vectorizes where a single
-    /// distance's serial add chain cannot. Each individual distance keeps the
-    /// exact accumulation order of [`squared_distance`], so results are
+    /// One k-means run from the seeds in `scratch.centroids`, over flat
+    /// `k×dims` centroid buffers: the Lloyd loop reuses two slabs (current
+    /// and next) instead of allocating a vector-of-vectors per iteration,
+    /// and the distance-heavy steps compute many independent distances in
+    /// parallel lanes over a dimension-major layout
+    /// ([`Self::all_distances`]), which vectorizes where a single distance's
+    /// serial add chain cannot. Each individual distance keeps the exact
+    /// accumulation order of [`squared_distance`], so results are
     /// bit-for-bit identical to the textbook nested-`Vec` formulation.
+    ///
+    /// Converged exit: when an assignment step reproduces the previous
+    /// assignments and the previous update re-seeded no empty cluster, the
+    /// centroids already are the means of these assignments. The textbook
+    /// loop would rebuild them bit for bit, measure a movement of
+    /// `Σ distance(c, c)`, and its final pass would recompute this very
+    /// `dist_all`; so the run returns here with that pass's inertia and the
+    /// iteration count the textbook loop reports. A re-seed is the only way
+    /// identical assignments can yield different centroids, hence the
+    /// second condition.
     fn fit_once(
         points: &[&[f64]],
         config: &KMeansConfig,
-        rng: &mut SimRng,
         scratch: &mut FitScratch,
     ) -> (f64, usize) {
         let dims = points[0].len();
         let k = config.k;
-        Self::kmeanspp_init(points, k, rng, scratch);
         let n = points.len();
         scratch.next.resize(k * dims, 0.0);
         scratch.counts.resize(k, 0);
@@ -250,14 +272,25 @@ impl KMeans {
             points_t,
             ..
         } = scratch;
+        // Whether `centroids` are the plain means of `assignments`.
+        let mut centroids_are_means = false;
         let mut iterations_run = 0;
         for _ in 0..config.max_iterations {
             iterations_run += 1;
             // Assignment step: each centroid's distances to every point in
             // point-parallel lanes, then a per-point argmin over k values.
             Self::all_distances(centroids, k, dims, points_t, n, dist_all);
-            for (i, a) in assignments.iter_mut().enumerate() {
-                *a = Self::argmin_strided(dist_all, n, k, i).0;
+            let (changed, inertia) = Self::assign_nearest(dist_all, n, k, assignments);
+            if !changed && centroids_are_means {
+                let movement: f64 = centroids.chunks_exact(dims).map(|c| distance(c, c)).sum();
+                let met = movement < config.tolerance;
+                if !met {
+                    // Non-finite centroids (or a non-positive tolerance)
+                    // never meet it: the textbook loop idles at this fixed
+                    // point up to the iteration cap.
+                    iterations_run = config.max_iterations;
+                }
+                return (inertia, iterations_run);
             }
             // Update step.
             next.fill(0.0);
@@ -269,10 +302,12 @@ impl KMeans {
                     *acc += x;
                 }
             }
+            centroids_are_means = true;
             for c in 0..k {
                 let centroid = &mut next[c * dims..(c + 1) * dims];
                 if counts[c] == 0 {
                     // Re-seed an empty cluster with the point farthest from its centroid.
+                    centroids_are_means = false;
                     let anchor = &centroids[assignments[0] * dims..(assignments[0] + 1) * dims];
                     let far = points
                         .iter()
@@ -306,13 +341,28 @@ impl KMeans {
         }
         // Final assignment + inertia.
         Self::all_distances(centroids, k, dims, points_t, n, dist_all);
+        let (_, inertia) = Self::assign_nearest(dist_all, n, k, assignments);
+        (inertia, iterations_run)
+    }
+
+    /// Assigns every point its nearest centroid from the `k×n` distance
+    /// buffer; returns whether any assignment changed and the summed
+    /// squared distance of the new assignments (in point order).
+    fn assign_nearest(
+        dist_all: &[f64],
+        n: usize,
+        k: usize,
+        assignments: &mut [usize],
+    ) -> (bool, f64) {
+        let mut changed = false;
         let mut inertia = 0.0;
         for (i, a) in assignments.iter_mut().enumerate() {
             let (c, d2) = Self::argmin_strided(dist_all, n, k, i);
+            changed |= c != *a;
             *a = c;
             inertia += d2;
         }
-        (inertia, iterations_run)
+        (changed, inertia)
     }
 
     /// Squared distances of every `(centroid, point)` pair into a `k×n`
@@ -357,15 +407,21 @@ impl KMeans {
         best
     }
 
-    /// k-means++ seeding into a flat `k×dims` slab. Incremental: each point's
-    /// distance to the nearest chosen centroid is kept and folded with just
-    /// the newest centroid per round — O(k·n) instead of recomputing the full
-    /// minimum (O(k²·n)). `min` over exact distances is associative, so the
-    /// weights are bit-identical to the recomputed form.
+    /// k-means++ seeding of `k` centroids, appended to `scratch.seeds`.
+    /// Incremental: each point's distance to the nearest chosen centroid is
+    /// kept and folded with just the newest centroid per round — O(k·n)
+    /// instead of recomputing the full minimum (O(k²·n)). `min` over exact
+    /// distances is associative, so the weights are bit-identical to the
+    /// recomputed form.
     fn kmeanspp_init(points: &[&[f64]], k: usize, rng: &mut SimRng, scratch: &mut FitScratch) {
-        let dims = points[0].len();
         let n = points.len();
-        let points_t = &scratch.points_t;
+        let FitScratch {
+            seeds,
+            points_t,
+            dist,
+            weights,
+            ..
+        } = scratch;
         let distances_to_newest = |newest: &[f64], dist: &mut [f64]| {
             dist.fill(0.0);
             for (d, &c) in newest.iter().enumerate() {
@@ -376,12 +432,10 @@ impl KMeans {
                 }
             }
         };
-        let centroids = &mut scratch.centroids;
-        centroids.clear();
-        centroids.extend_from_slice(points[rng.uniform_usize(n)]);
-        let weights = &mut scratch.weights;
-        distances_to_newest(&centroids[0..dims], weights);
-        while centroids.len() < k * dims {
+        let first = points[rng.uniform_usize(n)];
+        seeds.extend_from_slice(first);
+        distances_to_newest(first, weights);
+        for _ in 1..k {
             let total: f64 = weights.iter().sum();
             let newest = if total <= 0.0 {
                 // All points coincide with existing centroids; duplicate one.
@@ -402,11 +456,11 @@ impl KMeans {
             // each point's running minimum. `min` over exact distances is
             // associative, so this is bit-identical to recomputing the full
             // minimum over all chosen centroids.
-            distances_to_newest(newest, &mut scratch.dist);
-            for (w, &d) in weights.iter_mut().zip(&scratch.dist) {
+            distances_to_newest(newest, dist);
+            for (w, &d) in weights.iter_mut().zip(dist.iter()) {
                 *w = d.min(*w);
             }
-            centroids.extend_from_slice(newest);
+            seeds.extend_from_slice(newest);
         }
     }
 
@@ -494,76 +548,35 @@ impl KMeans {
     /// Mean silhouette score of the clustering over `data` (higher is better,
     /// in `[-1, 1]`). Returns 0.0 for a single cluster.
     pub fn silhouette(&self, data: &Dataset) -> f64 {
-        if self.k() < 2 || data.len() < 2 {
-            return 0.0;
-        }
-        let points: Vec<&[f64]> = data
-            .instances()
-            .iter()
-            .map(|i| i.features.as_slice())
-            .collect();
-        self.silhouette_from(&pairwise_distances(&points))
-    }
-
-    /// [`silhouette`](Self::silhouette) over a precomputed pairwise distance
-    /// matrix (row-major `n×n`), so [`fit_auto_k`](Self::fit_auto_k) can
-    /// score every candidate `k` against one matrix instead of recomputing
-    /// all distances per candidate.
-    fn silhouette_from(&self, matrix: &[f64]) -> f64 {
-        let n = self.assignments.len();
-        if self.k() < 2 || n < 2 {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        let mut counted = 0usize;
-        for i in 0..n {
-            let own = self.assignments[i];
-            let mut intra = 0.0;
-            let mut intra_n = 0usize;
-            let mut inter: Vec<(f64, usize)> = vec![(0.0, 0); self.k()];
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let d = matrix[i * n + j];
-                if self.assignments[j] == own {
-                    intra += d;
-                    intra_n += 1;
-                } else {
-                    let c = self.assignments[j];
-                    inter[c].0 += d;
-                    inter[c].1 += 1;
-                }
-            }
-            if intra_n == 0 {
-                continue;
-            }
-            let a = intra / intra_n as f64;
-            let b = inter
-                .iter()
-                .filter(|(_, n)| *n > 0)
-                .map(|(s, n)| s / *n as f64)
-                .fold(f64::INFINITY, f64::min);
-            if !b.is_finite() {
-                continue;
-            }
-            total += (b - a) / a.max(b);
-            counted += 1;
-        }
-        if counted == 0 {
-            0.0
-        } else {
-            total / counted as f64
-        }
+        silhouette_from(
+            &self.assignments,
+            self.k(),
+            &pairwise_distances(&data_points(data)),
+        )
     }
 
     /// Fits k-means for every `k` in `k_range` and returns the model with the
     /// best silhouette score, implementing the paper's "the framework can
-    /// automatically determine the number of classes".
+    /// automatically determine the number of classes". The upper end of the
+    /// range is clamped to the number of instances.
+    ///
+    /// Every candidate `k` sees the same restarts: restart `r`'s k-means++
+    /// seeding for `k` is the first `k` centroids of its seeding for the
+    /// largest `k`, so each restart is seeded once for the whole sweep
+    /// (see [`FitScratch::seeded`]) and the result is bit-identical to
+    /// fitting each `k` on its own with [`fit`](Self::fit).
+    ///
+    /// Bounds-based Lloyd pruning (Hamerly, Elkan) is deliberately absent:
+    /// the fleet's sweeps cluster ≈ 30 signatures and a fit converges in
+    /// about three iterations, so there are too few distance evaluations
+    /// left for the bounds to skip to pay for their upkeep.
     ///
     /// # Errors
     ///
-    /// Returns an error if the range is empty or invalid for the dataset.
+    /// Returns [`MlError::InvalidConfig`] if the range is empty or starts at
+    /// zero, [`MlError::EmptyDataset`] if `data` has no instances and
+    /// [`MlError::InvalidK`] if the range starts above the number of
+    /// instances.
     pub fn fit_auto_k(
         data: &Dataset,
         k_range: std::ops::RangeInclusive<usize>,
@@ -577,7 +590,6 @@ impl KMeans {
                 "invalid cluster range {lo}..={hi}"
             )));
         }
-        let hi = hi.min(data.len());
         if data.is_empty() {
             return Err(MlError::EmptyDataset);
         }
@@ -586,24 +598,28 @@ impl KMeans {
                 "max_iterations must be at least 1".into(),
             ));
         }
-        let points: Vec<&[f64]> = data
-            .instances()
-            .iter()
-            .map(|i| i.features.as_slice())
-            .collect();
-        let mut scratch = FitScratch::new(points.len(), hi, points[0].len(), &points);
-        let matrix = pairwise_distances_from(&points, &scratch.points_t);
-        let mut fits: Vec<(f64, KMeans)> = Vec::new();
-        for k in lo..=hi {
-            let cfg = KMeansConfig { k, ..base.clone() };
-            let model = KMeans::fit_with_scratch(&points, &cfg, seed, &mut scratch);
-            let score = if k == 1 {
-                0.0
-            } else {
-                model.silhouette_from(&matrix)
-            };
-            fits.push((score, model));
+        if lo > data.len() {
+            return Err(MlError::InvalidK {
+                requested: lo,
+                available: data.len(),
+            });
         }
+        let hi = hi.min(data.len());
+        let points = data_points(data);
+        let mut scratch = FitScratch::seeded(&points, hi, base.restarts.max(1), seed);
+        let matrix = pairwise_distances_from(&points, &scratch.points_t);
+        let fits: Vec<(f64, KMeans)> = (lo..=hi)
+            .map(|k| {
+                let cfg = KMeansConfig { k, ..base.clone() };
+                let model = KMeans::fit_with_scratch(&points, &cfg, &mut scratch);
+                let score = if k == 1 {
+                    0.0
+                } else {
+                    silhouette_from(&model.assignments, k, &matrix)
+                };
+                (score, model)
+            })
+            .collect();
         // Prefer higher silhouette; among near-ties prefer more clusters.
         // Silhouette is biased toward very coarse clusterings when one cluster
         // sits far from the rest (the peak-hour workload class), while finer
@@ -622,6 +638,61 @@ impl KMeans {
     }
 }
 
+/// The feature vectors of `data`, in instance order.
+fn data_points(data: &Dataset) -> Vec<&[f64]> {
+    data.instances()
+        .iter()
+        .map(|i| i.features.as_slice())
+        .collect()
+}
+
+/// Mean silhouette of `assignments` (into `k` clusters) over a precomputed
+/// row-major `n×n` distance matrix, so [`KMeans::fit_auto_k`] scores every
+/// candidate `k` against one matrix. Per point, one pass adds each other
+/// point's distance to its cluster's slot of two `k`-sized buffers in point
+/// order: the own cluster's slot is the intra-cluster sum and the others are
+/// the inter-cluster sums, each accumulated in the same order as separate
+/// sums would be.
+fn silhouette_from(assignments: &[usize], k: usize, matrix: &[f64]) -> f64 {
+    let n = assignments.len();
+    if k < 2 || n < 2 {
+        return 0.0;
+    }
+    let mut sums = vec![0.0f64; k];
+    let mut counts = vec![0usize; k];
+    let mut total = 0.0;
+    let mut counted = 0usize;
+    for (i, &own) in assignments.iter().enumerate() {
+        sums.fill(0.0);
+        counts.fill(0);
+        let row = &matrix[i * n..(i + 1) * n];
+        for (j, (&d, &c)) in row.iter().zip(assignments).enumerate() {
+            if j != i {
+                sums[c] += d;
+                counts[c] += 1;
+            }
+        }
+        if counts[own] == 0 {
+            continue;
+        }
+        let a = sums[own] / counts[own] as f64;
+        let b = (0..k)
+            .filter(|&c| c != own && counts[c] > 0)
+            .map(|c| sums[c] / counts[c] as f64)
+            .fold(f64::INFINITY, f64::min);
+        if !b.is_finite() {
+            continue;
+        }
+        total += (b - a) / a.max(b);
+        counted += 1;
+    }
+    if counted == 0 {
+        0.0
+    } else {
+        total / counted as f64
+    }
+}
+
 /// Row-major `n×n` matrix of pairwise Euclidean distances. Both triangles are
 /// filled from one computation per pair; `distance` is exactly symmetric, so
 /// consumers see bit-identical values to computing each direction directly.
@@ -629,18 +700,20 @@ impl KMeans {
 /// points — each pair's sum still accumulates dimensions in ascending order,
 /// so every entry equals `distance(points[i], points[j])` bit-for-bit.
 fn pairwise_distances(points: &[&[f64]]) -> Vec<f64> {
+    pairwise_distances_from(points, &transposed(points))
+}
+
+/// Dimension-major (`dims×n`) copy of `points`.
+fn transposed(points: &[&[f64]]) -> Vec<f64> {
     let n = points.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let dims = points[0].len();
+    let dims = points.first().map_or(0, |p| p.len());
     let mut points_t = vec![0.0f64; n * dims];
     for (i, p) in points.iter().enumerate() {
         for (d, &x) in p.iter().enumerate() {
             points_t[d * n + i] = x;
         }
     }
-    pairwise_distances_from(points, &points_t)
+    points_t
 }
 
 /// [`pairwise_distances`] over an existing dimension-major copy of the
@@ -785,6 +858,41 @@ mod tests {
         );
         let model = KMeans::fit_auto_k(&d, 2..=8, &KMeansConfig::default(), 5).unwrap();
         assert_eq!(model.k(), 4);
+    }
+
+    #[test]
+    fn auto_k_rejects_a_range_above_the_dataset() {
+        let d = blobs(&[(0.0, 0.0)], 1, 0.1, 10);
+        assert_eq!(
+            KMeans::fit_auto_k(&d, 2..=8, &KMeansConfig::default(), 10).unwrap_err(),
+            MlError::InvalidK {
+                requested: 2,
+                available: 1
+            }
+        );
+        // The upper end alone is clamped, not rejected.
+        let model = KMeans::fit_auto_k(&d, 1..=8, &KMeansConfig::default(), 10).unwrap();
+        assert_eq!(model.k(), 1);
+    }
+
+    #[test]
+    fn a_reseeded_cluster_blocks_the_converged_exit() {
+        // Iteration 3 reproduces iteration 2's assignments, but iteration 2
+        // re-seeded the empty cluster 2 from an anchor centroid that has
+        // since moved: the centroids are not yet the means, and the textbook
+        // loop re-seeds cluster 2 elsewhere and settles one iteration later.
+        let values = [-9.0, -10.0, -10.0];
+        let points: Vec<&[f64]> = values.iter().map(std::slice::from_ref).collect();
+        let config = KMeansConfig {
+            k: 3,
+            ..Default::default()
+        };
+        let mut scratch = FitScratch::seeded(&points, 3, 1, 0);
+        scratch.centroids = vec![3.0, -2.0, 0.0];
+        let (inertia, iterations) = KMeans::fit_once(&points, &config, &mut scratch);
+        assert_eq!(scratch.centroids, [-10.0, -9.0, -10.0]);
+        assert_eq!(scratch.assignments, [1, 0, 0]);
+        assert_eq!((inertia, iterations), (0.0, 4));
     }
 
     #[test]

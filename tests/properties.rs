@@ -168,6 +168,307 @@ fn kmeans_assignments_are_nearest() {
     });
 }
 
+/// `KMeans::fit_auto_k` and `KMeans::fit` against the textbook sweep they
+/// optimise: per `(k, restart)` a fresh k-means++ seeding from
+/// `seed ^ r·0x9E37_79B9`, Lloyd until the centroid movement falls below the
+/// tolerance (with the farthest-point re-seed of empty clusters), a final
+/// assignment pass, an allocating silhouette and the 0.12 near-tie rule.
+/// Every output bit must agree — on tiny datasets, ranges reaching past the
+/// data and duplicated points (which force the all-coincident seeding branch
+/// and empty clusters).
+#[test]
+fn fit_auto_k_matches_the_textbook_sweep_bit_for_bit() {
+    use dejavu::ml::dataset::{distance, squared_distance};
+    use dejavu::ml::MlError;
+
+    struct Fit {
+        centroids: Vec<Vec<f64>>,
+        assignments: Vec<usize>,
+        inertia: f64,
+        iterations: usize,
+    }
+
+    fn nearest(centroids: &[Vec<f64>], p: &[f64]) -> (usize, f64) {
+        let mut best = (0, f64::INFINITY);
+        for (c, centroid) in centroids.iter().enumerate() {
+            let d = squared_distance(p, centroid);
+            if d < best.1 {
+                best = (c, d);
+            }
+        }
+        best
+    }
+
+    fn kmeanspp(points: &[Vec<f64>], k: usize, rng: &mut SimRng) -> Vec<Vec<f64>> {
+        let n = points.len();
+        let mut centroids = vec![points[rng.uniform_usize(n)].clone()];
+        while centroids.len() < k {
+            let weights: Vec<f64> = points
+                .iter()
+                .map(|p| {
+                    centroids
+                        .iter()
+                        .map(|c| squared_distance(p, c))
+                        .fold(f64::INFINITY, f64::min)
+                })
+                .collect();
+            let total: f64 = weights.iter().sum();
+            let chosen = if total <= 0.0 {
+                rng.uniform_usize(n)
+            } else {
+                let mut target = rng.uniform01() * total;
+                let mut chosen = n - 1;
+                for (i, w) in weights.iter().enumerate() {
+                    target -= w;
+                    if target <= 0.0 {
+                        chosen = i;
+                        break;
+                    }
+                }
+                chosen
+            };
+            centroids.push(points[chosen].clone());
+        }
+        centroids
+    }
+
+    fn lloyd(points: &[Vec<f64>], cfg: &KMeansConfig, rng: &mut SimRng) -> Fit {
+        let dims = points[0].len();
+        let mut centroids = kmeanspp(points, cfg.k, rng);
+        let mut assignments = vec![0; points.len()];
+        let mut iterations = 0;
+        for _ in 0..cfg.max_iterations {
+            iterations += 1;
+            for (a, p) in assignments.iter_mut().zip(points) {
+                *a = nearest(&centroids, p).0;
+            }
+            let mut next = vec![vec![0.0; dims]; cfg.k];
+            let mut counts = vec![0usize; cfg.k];
+            for (&c, p) in assignments.iter().zip(points) {
+                counts[c] += 1;
+                for (acc, x) in next[c].iter_mut().zip(p) {
+                    *acc += x;
+                }
+            }
+            for c in 0..cfg.k {
+                if counts[c] == 0 {
+                    let anchor = &centroids[assignments[0]];
+                    let far = points
+                        .iter()
+                        .enumerate()
+                        .max_by(|(_, a), (_, b)| {
+                            squared_distance(a, anchor)
+                                .partial_cmp(&squared_distance(b, anchor))
+                                .unwrap()
+                        })
+                        .unwrap()
+                        .0;
+                    next[c] = points[far].clone();
+                } else {
+                    for acc in next[c].iter_mut() {
+                        *acc /= counts[c] as f64;
+                    }
+                }
+            }
+            let movement: f64 = centroids
+                .iter()
+                .zip(&next)
+                .map(|(a, b)| distance(a, b))
+                .sum();
+            centroids = next;
+            if movement < cfg.tolerance {
+                break;
+            }
+        }
+        let mut inertia = 0.0;
+        for (a, p) in assignments.iter_mut().zip(points) {
+            let (c, d2) = nearest(&centroids, p);
+            *a = c;
+            inertia += d2;
+        }
+        Fit {
+            centroids,
+            assignments,
+            inertia,
+            iterations,
+        }
+    }
+
+    fn textbook_fit(points: &[Vec<f64>], cfg: &KMeansConfig, seed: u64) -> Fit {
+        let mut best: Option<Fit> = None;
+        for r in 0..cfg.restarts.max(1) {
+            let mut rng = SimRng::seed_from_u64(seed ^ (r as u64).wrapping_mul(0x9E37_79B9));
+            let fit = lloyd(points, cfg, &mut rng);
+            if best.as_ref().is_none_or(|b| fit.inertia < b.inertia) {
+                best = Some(fit);
+            }
+        }
+        best.unwrap()
+    }
+
+    fn silhouette(points: &[Vec<f64>], fit: &Fit) -> f64 {
+        let k = fit.centroids.len();
+        let mut total = 0.0;
+        let mut counted = 0usize;
+        for (i, p) in points.iter().enumerate() {
+            let own = fit.assignments[i];
+            let mut sums = vec![Vec::new(); k];
+            for (j, q) in points.iter().enumerate() {
+                if i != j {
+                    sums[fit.assignments[j]].push(distance(p, q));
+                }
+            }
+            let mean = |v: &Vec<f64>| v.iter().fold(0.0, |acc, d| acc + d) / v.len() as f64;
+            if sums[own].is_empty() {
+                continue;
+            }
+            let a = mean(&sums[own]);
+            let b = (0..k)
+                .filter(|&c| c != own && !sums[c].is_empty())
+                .map(|c| mean(&sums[c]))
+                .fold(f64::INFINITY, f64::min);
+            if !b.is_finite() {
+                continue;
+            }
+            total += (b - a) / a.max(b);
+            counted += 1;
+        }
+        if counted == 0 {
+            0.0
+        } else {
+            total / counted as f64
+        }
+    }
+
+    fn textbook_auto_k(
+        points: &[Vec<f64>],
+        lo: usize,
+        hi: usize,
+        base: &KMeansConfig,
+        seed: u64,
+    ) -> Fit {
+        let mut fits: Vec<(f64, Fit)> = (lo..=hi.min(points.len()))
+            .map(|k| {
+                let fit = textbook_fit(points, &KMeansConfig { k, ..base.clone() }, seed);
+                let score = if k == 1 {
+                    0.0
+                } else {
+                    silhouette(points, &fit)
+                };
+                (score, fit)
+            })
+            .collect();
+        let best = fits
+            .iter()
+            .map(|(s, _)| *s)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let chosen = fits.iter().rposition(|(s, _)| *s >= best - 0.12).unwrap();
+        fits.swap_remove(chosen).1
+    }
+
+    fn assert_same(model: &KMeans, fit: &Fit, label: &str) {
+        assert_eq!(model.k(), fit.centroids.len(), "{label}: k");
+        let got: Vec<Vec<u64>> = model
+            .centroids()
+            .iter()
+            .map(|c| c.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        let want: Vec<Vec<u64>> = fit
+            .centroids
+            .iter()
+            .map(|c| c.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        assert_eq!(got, want, "{label}: centroids");
+        assert_eq!(model.assignments(), fit.assignments, "{label}: assignments");
+        assert_eq!(
+            model.inertia().to_bits(),
+            fit.inertia.to_bits(),
+            "{label}: inertia"
+        );
+        assert_eq!(
+            model.iterations_run(),
+            fit.iterations,
+            "{label}: iterations"
+        );
+    }
+
+    cases(32, |rng, case| {
+        let n = 1 + rng.uniform_usize(47);
+        let dims = [1, 2, 8, 27][rng.uniform_usize(4)];
+        // Half the cases draw their points from a small pool, so points
+        // repeat and clusters can come up empty.
+        let pool = if case % 2 == 0 {
+            1 + rng.uniform_usize(4)
+        } else {
+            n
+        };
+        let distinct: Vec<Vec<f64>> = (0..pool)
+            .map(|_| (0..dims).map(|_| rng.normal(0.0, 10.0)).collect())
+            .collect();
+        let points: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                distinct[if pool == n {
+                    i
+                } else {
+                    rng.uniform_usize(pool)
+                }]
+                .clone()
+            })
+            .collect();
+        let mut data = Dataset::new((0..dims).map(|d| format!("m{d}")).collect());
+        for p in &points {
+            data.push_unlabeled(p.clone());
+        }
+        // A zero tolerance is never met, so every fit runs to the cap; a
+        // loose one stops fits before their assignments settle.
+        let base = KMeansConfig {
+            restarts: 1 + rng.uniform_usize(4),
+            max_iterations: 1 + rng.uniform_usize(12),
+            tolerance: [1e-9, 0.0, 1.0][rng.uniform_usize(3)],
+            ..Default::default()
+        };
+        let seed = rng.uniform_usize(1 << 40) as u64;
+        let label = format!("case {case}: n {n}, dims {dims}, pool {pool}");
+
+        let (lo, hi) = match case % 4 {
+            0 => (1, 1),
+            1 => (2, 8),
+            2 => (1, n + 3),
+            _ => {
+                let lo = 1 + rng.uniform_usize(n + 1);
+                (lo, lo + rng.uniform_usize(6))
+            }
+        };
+        let range = format!("{label}, range {lo}..={hi}");
+        match KMeans::fit_auto_k(&data, lo..=hi, &base, seed) {
+            Ok(model) => {
+                let fit = textbook_auto_k(&points, lo, hi, &base, seed);
+                assert_same(&model, &fit, &range);
+            }
+            Err(e) => {
+                assert!(lo > n, "{range}: {e}");
+                assert_eq!(
+                    e,
+                    MlError::InvalidK {
+                        requested: lo,
+                        available: n
+                    },
+                    "{range}"
+                );
+            }
+        }
+
+        let k = 1 + rng.uniform_usize(n.min(9));
+        let cfg = KMeansConfig { k, ..base };
+        let model = KMeans::fit(&data, &cfg, seed).unwrap();
+        assert_same(
+            &model,
+            &textbook_fit(&points, &cfg, seed),
+            &format!("{label}, k {k}"),
+        );
+    });
+}
+
 /// Shard routing of the fleet-shared repository is stable: the same namespace
 /// always lands in the same in-range shard, across repository instances.
 #[test]
