@@ -14,8 +14,8 @@
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 8 --snapshot-in fleet.snap
 //! # elastic tenancy: staggered late joiners + mid-run departures:
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 40 --churn
-//! # free-running tenants on a 4-thread work-stealing pool, views at most 2 epochs stale:
-//! cargo run -p dejavu-experiments --release -- fleet --transport steal --threads 4 --staleness 2
+//! # the same fleet on a 4-thread work-stealing pool (bit-identical to the barrier):
+//! cargo run -p dejavu-experiments --release -- fleet --transport steal --threads 4
 //! # drop never-hit entries when persisting:
 //! cargo run -p dejavu-experiments --release -- fleet --snapshot-out fleet.snap --snapshot-compact
 //! # flight recorder: lookup latency quantiles, frontier lag, park/steal rates:
@@ -28,8 +28,7 @@
 //! With `--snapshot-in` the report carries the newcomer-convergence numbers
 //! (mean epochs to the first `FleetReuse`) that show a warm-started tenant
 //! skipping the learning phase the DejaVu paper sets out to amortize. With
-//! `--transport steal` the report additionally carries the observed-staleness
-//! telemetry of the asynchronous transport.
+//! `--transport steal` the report additionally names the transport.
 //! The `--transport` name goes through the typed
 //! [`TransportConfig::parse`], so an unknown backend is a clear error
 //! listing the valid choices rather than a panic.
@@ -77,8 +76,8 @@ pub struct FleetOptions {
     /// transport — the BSP barrier has no report path to fault.
     pub faults: Option<FaultSpec>,
     /// Compact the recovery delta chains every N commits per shard
-    /// (`--checkpoint-every N`; 0 keeps every delta). Only meaningful with
-    /// the async transport; recording itself is always on during fault runs.
+    /// (`--checkpoint-every N`; 0 keeps every delta). Requires the async
+    /// transport; recording itself is always on during fault runs.
     pub checkpoint_every: usize,
     /// Spill the shared fleet's delta-chain checkpoints to a durable
     /// on-disk store at this directory (`--checkpoint-dir PATH`): every
@@ -88,9 +87,9 @@ pub struct FleetOptions {
     pub checkpoint_dir: Option<String>,
     /// Drive the shared fleet against a `dejavu-serve` daemon at this TCP
     /// address instead of an in-process repository (`--repo
-    /// remote[:ADDR]`). At staleness 0 the report is bit-identical to the
-    /// local run; snapshot files and fault injection live with the serving
-    /// process, so requesting them here is an error.
+    /// remote[:ADDR]`). The report is bit-identical to the local run;
+    /// snapshot files and fault injection live with the serving process, so
+    /// requesting them here is an error.
     pub repo_remote: Option<String>,
 }
 
@@ -120,27 +119,9 @@ impl FleetFigure {
             },
         );
         // The BSP barrier is the byte-stable default; only non-BSP runs
-        // announce their transport and staleness telemetry.
+        // announce their transport.
         if self.shared.transport.name != "bsp" {
             r.kv("transport", &self.shared.transport.name);
-            r.kv(
-                "view staleness (epochs)",
-                format!(
-                    "mean {:.2} / max {} over {} tenant-epochs",
-                    self.shared.transport.view_staleness.mean(),
-                    self.shared.transport.view_staleness.max(),
-                    self.shared.transport.view_staleness.total(),
-                ),
-            );
-            r.kv(
-                "reuse staleness (epochs)",
-                format!(
-                    "mean {:.2} / max {} over {} committed hits",
-                    self.shared.transport.reuse_staleness.mean(),
-                    self.shared.transport.reuse_staleness.max(),
-                    self.shared.transport.reuse_staleness.total(),
-                ),
-            );
         }
         if let Some(f) = &self.shared.faults {
             r.kv(
@@ -233,14 +214,24 @@ pub fn run_opts(opts: &FleetOptions) -> Result<FleetFigure, Box<dyn std::error::
     if let Some(spec) = &opts.faults {
         opts.transport.check_faults(spec)?;
     }
-    // Durable checkpointing rides the same commit-boundary capture path as
-    // fault recovery, which the barrier transport doesn't have.
-    if opts.checkpoint_dir.is_some() && opts.transport == TransportConfig::Bsp {
-        return Err(
-            "--checkpoint-dir needs an async transport (--transport steal): the bsp barrier \
-             has no commit-boundary capture path"
-                .into(),
-        );
+    // Durable checkpointing and chain compaction ride the same
+    // commit-boundary capture path as fault recovery, which the barrier
+    // transport doesn't have.
+    if opts.transport == TransportConfig::Bsp {
+        if opts.checkpoint_dir.is_some() {
+            return Err(
+                "--checkpoint-dir needs an async transport (--transport steal): the bsp \
+                 barrier has no commit-boundary capture path"
+                    .into(),
+            );
+        }
+        if opts.checkpoint_every > 0 {
+            return Err(
+                "--checkpoint-every needs an async transport (--transport steal): the bsp \
+                 barrier has no delta chain to compact"
+                    .into(),
+            );
+        }
     }
     let scenario = if opts.churn {
         churn_fleet(opts.tenants, opts.days, opts.seed, 24)
@@ -440,35 +431,8 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_transport_runs_and_reports_staleness() {
-        let base = FleetOptions {
-            seed: 3,
-            tenants: 6,
-            days: 1,
-            ..Default::default()
-        };
-        // One worker per tenant, and a capped pool.
-        for (threads, staleness) in [(6, 2), (2, 1)] {
-            let fig = run_opts(&FleetOptions {
-                transport: TransportConfig::WorkStealing { threads, staleness },
-                ..base.clone()
-            })
-            .expect("steal run");
-            assert_eq!(
-                fig.shared.transport.name,
-                format!("steal(threads={threads},staleness={staleness})")
-            );
-            assert!(fig.shared.transport.view_staleness.max() <= staleness);
-            assert!(fig.report().into_text().contains("view staleness"));
-        }
-        // The BSP report stays free of transport telemetry lines.
-        let bsp = run_opts(&base).expect("bsp run");
-        assert!(!bsp.report().into_text().contains("view staleness"));
-    }
-
-    #[test]
     fn unknown_transport_names_parse_to_a_helpful_error() {
-        let err = TransportConfig::parse("tokio", 4, 1).expect_err("unknown backend");
+        let err = TransportConfig::parse("tokio", 4, 0).expect_err("unknown backend");
         assert!(err.contains("'tokio'"), "{err}");
         assert!(err.contains("'steal'"), "{err}");
     }
@@ -483,10 +447,7 @@ mod tests {
         };
         let clean = run_opts(&base).expect("fault-free run");
         let faulty = run_opts(&FleetOptions {
-            transport: TransportConfig::WorkStealing {
-                threads: 6,
-                staleness: 0,
-            },
+            transport: TransportConfig::WorkStealing { threads: 6 },
             faults: Some(FaultSpec::parse("42").expect("valid spec")),
             checkpoint_every: 4,
             ..base
@@ -494,8 +455,8 @@ mod tests {
         .expect("fault run");
         let summary = faulty.shared.faults.as_ref().expect("fault summary");
         assert!(summary.injected > 0, "the schedule never fired");
-        // At staleness 0 recovery is invisible: the faulty fleet lands on
-        // the fault-free barrier's results.
+        // Recovery is invisible: the faulty fleet lands on the fault-free
+        // barrier's results.
         assert_eq!(
             faulty.shared.fleet_hit_rate(),
             clean.shared.fleet_hit_rate()
@@ -653,10 +614,7 @@ mod tests {
         assert!(err.to_string().contains("serving side"), "{err}");
         let err = run_opts(&FleetOptions {
             repo_remote: Some(addr),
-            transport: TransportConfig::WorkStealing {
-                threads: 6,
-                staleness: 0,
-            },
+            transport: TransportConfig::WorkStealing { threads: 6 },
             faults: Some(FaultSpec::parse("42").expect("valid spec")),
             ..base
         })
@@ -708,10 +666,7 @@ mod tests {
             seed: 3,
             tenants: 6,
             days: 1,
-            transport: TransportConfig::WorkStealing {
-                threads: 6,
-                staleness: 0,
-            },
+            transport: TransportConfig::WorkStealing { threads: 6 },
             checkpoint_every: 4,
             checkpoint_dir: Some(ckpt.to_string_lossy().into_owned()),
             snapshot_out: Some(snap.clone()),
@@ -760,10 +715,7 @@ mod tests {
             seed: 3,
             tenants: 2,
             days: 1,
-            transport: TransportConfig::WorkStealing {
-                threads: 2,
-                staleness: 0,
-            },
+            transport: TransportConfig::WorkStealing { threads: 2 },
             checkpoint_dir: Some("unused-dir".into()),
             repo_remote: Some(addr),
             ..Default::default()
@@ -771,6 +723,19 @@ mod tests {
         .expect_err("durable checkpoints over the wire");
         assert!(err.to_string().contains("serving side"), "{err}");
         handle.stop();
+    }
+
+    #[test]
+    fn checkpoint_every_on_the_bsp_barrier_is_rejected() {
+        let err = run_opts(&FleetOptions {
+            seed: 3,
+            tenants: 2,
+            days: 1,
+            checkpoint_every: 8,
+            ..Default::default()
+        })
+        .expect_err("bsp has no delta chain to compact");
+        assert!(err.to_string().contains("--checkpoint-every"), "{err}");
     }
 
     #[test]

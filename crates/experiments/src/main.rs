@@ -5,7 +5,7 @@
 //! cargo run -p dejavu-experiments --release -- fig6 fig8 --seed 7
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 40 --snapshot-out fleet.snap
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 8 --snapshot-in fleet.snap --churn
-//! cargo run -p dejavu-experiments --release -- fleet --transport steal --threads 4 --staleness 1
+//! cargo run -p dejavu-experiments --release -- fleet --transport steal --threads 4
 //! cargo run -p dejavu-experiments --release -- fleet --obs --obs-out fleet-obs.json
 //! cargo run -p dejavu-experiments --release -- fleet --transport steal --faults 42 --checkpoint-every 8
 //! cargo run -p dejavu-experiments --release -- fleet --transport steal --checkpoint-dir fleet-ckpt/
@@ -41,14 +41,12 @@ fn main() {
         baselines: true,
         ..Default::default()
     };
-    // `--transport steal` defaults to 1 epoch of staleness on 4 workers;
-    // `--staleness` overrides the bound (0 bit-matches the BSP barrier) and
-    // `--threads` the pool size. The name itself goes through
-    // the typed `TransportConfig::parse`, so an unknown backend is a clear
-    // error listing the valid choices.
+    // `--transport steal` runs a pool of 4 workers unless `--threads` says
+    // otherwise. The name itself goes through the typed
+    // `TransportConfig::parse`, so an unknown backend is a clear error
+    // listing the valid choices.
     let mut transport_name: Option<String> = None;
-    let mut staleness = 1usize;
-    let mut threads = 4usize;
+    let mut threads: Option<usize> = None;
     // `--faults SEED[:kind,...]` goes through the typed `FaultSpec::parse`
     // and is checked against the resolved transport: malformed specs and
     // fault injection on the BSP barrier are clear errors, not panics.
@@ -70,11 +68,9 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-        } else if arg == "--staleness" {
-            staleness = numeric(arg, it.next(), "an epoch count");
         } else if arg == "--threads" {
             match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => threads = n,
+                Some(n) if n > 0 => threads = Some(n),
                 _ => {
                     eprintln!("--threads needs a positive worker count");
                     std::process::exit(2);
@@ -153,13 +149,25 @@ fn main() {
     }
     fleet_opts.seed = seed;
     if let Some(name) = &transport_name {
-        match TransportConfig::parse(name, threads, staleness) {
+        match TransportConfig::parse(name, threads.unwrap_or(4), 0) {
             Ok(transport) => fleet_opts.transport = transport,
             Err(message) => {
                 eprintln!("--transport: {message}");
                 std::process::exit(2);
             }
         }
+    }
+    // Flags that would otherwise be silently ignored are refused.
+    if threads.is_some() && fleet_opts.transport == TransportConfig::Bsp {
+        eprintln!(
+            "--threads sizes the work-stealing pool and needs --transport steal; \
+             the bsp barrier sizes itself from the host"
+        );
+        std::process::exit(2);
+    }
+    if fleet_opts.snapshot_compact && fleet_opts.snapshot_out.is_none() {
+        eprintln!("--snapshot-compact needs --snapshot-out FILE: it compacts the written snapshot");
+        std::process::exit(2);
     }
     if let Some(spec) = &fault_spec {
         let spec = match FaultSpec::parse(spec) {

@@ -6,7 +6,7 @@ use std::process::Command;
 
 #[test]
 fn unparsable_invocations_exit_2_with_a_message_and_no_report() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["fleet", "--tenants", "abc"], "--tenants needs"),
         (&["fleet", "--days"], "--days needs"),
         (&["fleet", "--seed", "x"], "--seed needs"),
@@ -15,6 +15,14 @@ fn unparsable_invocations_exit_2_with_a_message_and_no_report() {
         (&["table1", "nosuchfig"], "unknown experiment 'nosuchfig'"),
         // The removed alias is an unknown transport like any other.
         (&["fleet", "--transport", "async"], "'bsp'"),
+        // The removed staleness bound is no flag any more.
+        (
+            &["fleet", "--staleness", "2"],
+            "unknown experiment '--staleness'",
+        ),
+        // Flags that would do nothing are refused, not ignored.
+        (&["fleet", "--threads", "2"], "needs --transport steal"),
+        (&["fleet", "--snapshot-compact"], "--snapshot-compact needs"),
     ];
     for (args, message) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_dejavu-experiments"))

@@ -16,11 +16,10 @@
 //!   Mid-epoch the shared store never changes, so the fleet result is a pure
 //!   function of the scenario — independent of thread count or OS scheduling.
 //! * [`TransportConfig::WorkStealing`] — a fixed pool of worker threads
-//!   pulling per-epoch tenant tasks from a shared deque; tenant views trail
-//!   their shard's commit frontier by at most `K` epochs. Results are
-//!   invariant to the thread count; `K = 0` bit-matches the barrier (fuzzed
-//!   across scenarios in `tests/differential.rs`), `K > 0` trades bitwise
-//!   result reproducibility for pipeline parallelism.
+//!   pulling per-epoch tenant tasks from a shared deque; a tenant enters an
+//!   epoch once its own shard has committed every earlier one. Results
+//!   bit-match the barrier at any thread count (fuzzed across scenarios in
+//!   `tests/differential.rs`).
 //!
 //! # Elastic tenancy
 //!
@@ -552,8 +551,8 @@ mod tests {
         result
     }
 
-    /// The fields a `staleness = 0` run must share with the barrier, bit
-    /// for bit.
+    /// The fields a work-stealing run must share with the barrier, bit for
+    /// bit.
     fn assert_matches_barrier(bsp: &FleetReport, other: &FleetReport, label: &str) {
         assert_eq!(other.hit_rate_curve, bsp.hit_rate_curve, "{label}");
         for (a, b) in bsp.tenants.iter().zip(&other.tenants) {
@@ -718,41 +717,26 @@ mod tests {
     fn batched_reports_keep_the_pool_live_and_in_order_around_the_flush_cap() {
         // Fleets one below, at and one above the report-batch cap, so a
         // worker's buffer ends a run partly filled, exactly full and just
-        // flushed; one worker (every report through one buffer) and two;
-        // K = 0 (every tenant parks after every epoch) and K = 2 (workers
-        // run tenants ahead). Each run must finish, and the K = 0 ones must
-        // match the barrier bit for bit.
+        // flushed; one worker (every report through one buffer) and two.
+        // Each run must finish and match the barrier bit for bit.
         for tenants in [REPORT_BATCH_CAP - 1, REPORT_BATCH_CAP, REPORT_BATCH_CAP + 1] {
             let mut scenario = crate::scenario::standard_fleet(tenants, 1, 11);
             scenario.tick = SimDuration::from_secs(600.0);
             let bsp = FleetEngine::new(scenario.clone(), FleetConfig::default()).run();
             for threads in [1, 2] {
-                for staleness in [0, 2] {
-                    let transport = TransportConfig::WorkStealing { threads, staleness };
-                    let label = format!("{tenants} tenants {transport:?}");
-                    let engine = FleetEngine::new(
-                        scenario.clone(),
-                        FleetConfig {
-                            transport,
-                            ..Default::default()
-                        },
-                    );
-                    let report = within(WATCHDOG, label.clone(), move || engine.run());
-                    assert_eq!(report.tenants_failed(), 0, "{label}");
-                    assert_eq!(report.hit_rate_curve.len(), bsp.epochs, "{label}");
-                    assert!(
-                        report.transport.view_staleness.max() <= staleness,
-                        "{label}"
-                    );
-                    assert_eq!(
-                        report.transport.view_staleness.total(),
-                        bsp.transport.view_staleness.total(),
-                        "{label}: one observation per tenant-epoch"
-                    );
-                    if staleness == 0 {
-                        assert_matches_barrier(&bsp, &report, &label);
-                    }
-                }
+                let transport = TransportConfig::WorkStealing { threads };
+                let label = format!("{tenants} tenants {transport:?}");
+                let engine = FleetEngine::new(
+                    scenario.clone(),
+                    FleetConfig {
+                        transport,
+                        ..Default::default()
+                    },
+                );
+                let report = within(WATCHDOG, label.clone(), move || engine.run());
+                assert_eq!(report.tenants_failed(), 0, "{label}");
+                assert_eq!(report.hit_rate_curve.len(), bsp.epochs, "{label}");
+                assert_matches_barrier(&bsp, &report, &label);
             }
         }
     }
@@ -786,10 +770,7 @@ mod tests {
         let crashed = FleetEngine::new(
             scenario,
             FleetConfig {
-                transport: TransportConfig::WorkStealing {
-                    threads: 2,
-                    staleness: 0,
-                },
+                transport: TransportConfig::WorkStealing { threads: 2 },
                 faults: Some(faults),
                 ..Default::default()
             },
@@ -869,13 +850,6 @@ mod tests {
         assert!(!shared.warm_start);
         assert_eq!(shared.hit_rate_curve.len(), shared.epochs);
         assert_eq!(shared.transport.name, "bsp");
-        // A barrier fleet's views are always perfectly fresh, and it records
-        // one observation per tenant-epoch actually stepped.
-        assert_eq!(shared.transport.view_staleness.max(), 0);
-        assert_eq!(
-            shared.transport.view_staleness.total(),
-            (6 * shared.epochs) as u64
-        );
     }
 
     #[test]
@@ -903,25 +877,12 @@ mod tests {
         // tenant (surfacing the epoch in the report), and let the survivors
         // run to completion.
         let poison = poison_outbox(1);
-        // The larger fleet exceeds the pool's report-batch cap, and with
-        // `staleness = 2` the poisoned tenant runs ahead of the committer: its
-        // abort notice can reach the committer before earlier reports of its
-        // own that another worker still buffers.
-        let steal = |staleness| TransportConfig::WorkStealing {
-            threads: 2,
-            staleness,
-        };
+        // The larger fleet exceeds the pool's report-batch cap.
+        let steal = |threads| TransportConfig::WorkStealing { threads };
         for (tenants, transport) in [
             (3, TransportConfig::Bsp),
-            (
-                3,
-                TransportConfig::WorkStealing {
-                    threads: 3,
-                    staleness: 1,
-                },
-            ),
-            (3, steal(0)),
-            (REPORT_BATCH_CAP + 3, steal(0)),
+            (3, steal(3)),
+            (3, steal(2)),
             (REPORT_BATCH_CAP + 3, steal(2)),
         ] {
             let engine = FleetEngine::new(tiny_scenario(tenants), FleetConfig::default());
@@ -1094,47 +1055,13 @@ mod tests {
             let steal = FleetEngine::new(
                 tiny_scenario(4),
                 FleetConfig {
-                    transport: TransportConfig::WorkStealing {
-                        threads,
-                        staleness: 0,
-                    },
+                    transport: TransportConfig::WorkStealing { threads },
                     ..Default::default()
                 },
             )
             .run();
-            assert_eq!(
-                steal.transport.name,
-                format!("steal(threads={threads},staleness=0)")
-            );
+            assert_eq!(steal.transport.name, format!("steal(threads={threads})"));
             assert_matches_barrier(&bsp, &steal, &format!("{threads} threads"));
-            assert_eq!(steal.transport.view_staleness.max(), 0);
-        }
-    }
-
-    #[test]
-    fn work_stealing_respects_its_bound_and_reports_telemetry() {
-        let k = 2;
-        // A capped pool, and one worker per tenant.
-        for (tenants, threads) in [(5, 2), (4, 4)] {
-            let report = FleetEngine::new(
-                tiny_scenario(tenants),
-                FleetConfig {
-                    transport: TransportConfig::WorkStealing {
-                        threads,
-                        staleness: k,
-                    },
-                    ..Default::default()
-                },
-            )
-            .run();
-            assert!(report.transport.view_staleness.max() <= k);
-            assert_eq!(
-                report.transport.view_staleness.total(),
-                (tenants * report.epochs) as u64
-            );
-            assert!(report.transport.reuse_staleness.max() <= k);
-            assert_eq!(report.hit_rate_curve.len(), report.epochs);
-            assert!(report.total_fleet_reuses() > 0);
         }
     }
 }

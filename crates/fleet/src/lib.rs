@@ -22,8 +22,8 @@
 //!   [`CommitTransport`] trait with the lock-step [`BspBarrier`] backend
 //!   (bit-deterministic for any worker count) and the asynchronous
 //!   [`WorkStealing`] pool (a fixed number of workers over a shared deque,
-//!   per-shard commit frontiers, views at most `K` epochs stale, `K = 0`
-//!   bit-matching the barrier at any thread count).
+//!   per-shard commit frontiers, bit-matching the barrier at any thread
+//!   count).
 //! * [`scenario`] — fleet descriptions: diurnal Cassandra fleets, spike
 //!   storms, sine sweeps, interference-heavy co-location, SPECweb
 //!   contingents — plus each tenant's barrier-aligned [`EpochWindow`].
@@ -31,8 +31,7 @@
 //!   outboxes), hands them to the configured transport, and finalizes the
 //!   driven runs (in parallel on multi-worker configs) into the report.
 //! * [`report`] — fleet-wide aggregation (SLO violations, cost vs. baselines,
-//!   cold-start tunings avoided, hit rates, shard balance, observed
-//!   staleness).
+//!   cold-start tunings avoided, hit rates, shard balance).
 //!
 //! # Example
 //!

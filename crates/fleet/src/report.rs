@@ -72,8 +72,7 @@ pub struct FleetReport {
     /// Fleet-wide cumulative repository hit rate after each epoch barrier —
     /// the convergence curve warm starts bend upward.
     pub hit_rate_curve: Vec<f64>,
-    /// Which commit transport drove the run, plus its observed-staleness and
-    /// reuse-latency telemetry (all-zero histograms under the BSP barrier).
+    /// Which commit transport drove the run.
     pub transport: TransportSummary,
     /// Fault-injection and recovery tallies, when the run injected faults or
     /// profiled checkpointing; `None` for ordinary runs.
@@ -211,18 +210,11 @@ impl FleetReport {
             ),
         );
         // The barrier transport is the byte-stable default; only non-BSP
-        // runs announce their transport and staleness telemetry.
+        // runs announce their transport.
         if self.transport.name != "bsp" {
             push(
                 &mut out,
-                format!(
-                    "  transport                : {} (view staleness mean {:.2} / max {}; reuse staleness mean {:.2} / max {})",
-                    self.transport.name,
-                    self.transport.view_staleness.mean(),
-                    self.transport.view_staleness.max(),
-                    self.transport.reuse_staleness.mean(),
-                    self.transport.reuse_staleness.max(),
-                ),
+                format!("  transport                : {}", self.transport.name),
             );
         }
         // The recovery section exists only on fault-injected (or
@@ -395,11 +387,10 @@ mod tests {
     fn only_non_bsp_reports_announce_their_transport() {
         let mut r = empty_report(SharingMode::Shared);
         assert!(!r.render().contains("transport"));
-        r.transport.name = "steal(threads=4,staleness=2)".into();
-        r.transport.view_staleness.record(1);
+        r.transport.name = "steal(threads=4)".into();
         let text = r.render();
         assert!(text.contains("transport"));
-        assert!(text.contains("steal(threads=4,staleness=2)"));
+        assert!(text.contains("steal(threads=4)"));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * an **outbox** of [`PendingOp`]s — publishes and cross-tenant hit records
 //!   buffered during an epoch and drained by the configured
 //!   [`crate::transport`] backend (the BSP barrier in tenant order at every
-//!   epoch barrier; the bounded-staleness committer per tenant-epoch). The
+//!   epoch barrier; the work-stealing pool's committer per shard-epoch). The
 //!   view only ever *buffers*; when and under what consistency the
 //!   operations commit is entirely the transport's business.
 //!

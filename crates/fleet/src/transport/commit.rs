@@ -13,13 +13,14 @@ use std::sync::Mutex;
 
 /// The per-shard commit frontiers: how many epochs each shard has fully
 /// committed (batch applied, TTL sweep run). A tenant only ever reads and
-/// writes the shard its namespace routes to, so its staleness bound is
-/// enforced against **that shard's** frontier rather than a fleet-wide one —
-/// a tenant behind a fast shard never waits for a slow shard it cannot
-/// observe.
+/// writes the shard its namespace routes to, so it waits on **that shard's**
+/// frontier rather than a fleet-wide one — a tenant of a fast shard never
+/// waits for a slow shard it cannot observe. A tenant may enter epoch `e`
+/// exactly when its shard has committed `e` epochs, so it reads the store
+/// the barrier would have shown it.
 ///
 /// The scheduler must never block a pool worker on a tenant's behalf, so a
-/// tenant too far ahead is parked as data through [`enter_or_park`] and the
+/// tenant that is early is parked as data through [`enter_or_park`] and the
 /// committer re-injects whatever [`advance`] releases. The frontiers can be
 /// **poisoned** when the committer unwinds: pool workers must then die
 /// rather than keep scheduling (or sleep forever), so the original panic —
@@ -28,8 +29,6 @@ use std::sync::Mutex;
 /// [`advance`]: ShardFrontiers::advance
 /// [`enter_or_park`]: ShardFrontiers::enter_or_park
 pub(super) struct ShardFrontiers {
-    /// Maximum number of epochs a tenant may lead its shard's frontier.
-    bound: usize,
     state: Mutex<FrontierState>,
 }
 
@@ -42,9 +41,8 @@ struct FrontierState {
 }
 
 impl ShardFrontiers {
-    pub(super) fn new(shards: usize, bound: usize) -> Self {
+    pub(super) fn new(shards: usize) -> Self {
         ShardFrontiers {
-            bound,
             state: Mutex::new(FrontierState {
                 committed: vec![0; shards],
                 parked: vec![Vec::new(); shards],
@@ -53,26 +51,25 @@ impl ShardFrontiers {
         }
     }
 
-    /// Non-blocking admission: returns the observed staleness (how many
-    /// epochs the frontier trails the tenant) if the tenant may enter `epoch`
-    /// now — at most the bound ahead of `shard`'s frontier — otherwise
-    /// parks `(epoch, tenant)` — to be handed back by [`advance`] once the
-    /// shard catches up — and returns `None`. The caller must have returned
-    /// the tenant's task to its slot *before* calling, so a release that
-    /// races the answer finds the tenant where the next worker will look.
+    /// Non-blocking admission: `true` if the tenant may enter `epoch` now
+    /// (`shard` has committed every earlier epoch), otherwise parks
+    /// `(epoch, tenant)` — to be handed back by [`advance`] once the shard
+    /// catches up — and returns `false`. The caller must have returned the
+    /// tenant's task to its slot *before* calling, so a release that races
+    /// the answer finds the tenant where the next worker will look.
     ///
     /// [`advance`]: ShardFrontiers::advance
-    pub(super) fn enter_or_park(&self, shard: usize, epoch: usize, tenant: usize) -> Option<usize> {
+    pub(super) fn enter_or_park(&self, shard: usize, epoch: usize, tenant: usize) -> bool {
         let mut state = self.state.lock().expect("frontier poisoned");
         assert!(
             !state.poisoned,
             "transport committer unwound; worker aborting"
         );
-        if epoch <= state.committed[shard] + self.bound {
-            Some(epoch.saturating_sub(state.committed[shard]))
+        if epoch <= state.committed[shard] {
+            true
         } else {
             state.parked[shard].push((epoch, tenant));
-            None
+            false
         }
     }
 
@@ -81,12 +78,11 @@ impl ShardFrontiers {
     pub(super) fn advance(&self, shard: usize, committed: usize) -> Vec<usize> {
         let mut state = self.state.lock().expect("frontier poisoned");
         state.committed[shard] = committed;
-        let bound = self.bound;
         let parked = &mut state.parked[shard];
         let mut released = Vec::new();
         let mut i = 0;
         while i < parked.len() {
-            if parked[i].0 <= committed + bound {
+            if parked[i].0 <= committed {
                 released.push(parked.swap_remove(i).1);
             } else {
                 i += 1;
@@ -137,8 +133,6 @@ impl Drop for PoisonOnDrop<'_> {
 pub(super) struct EpochReport {
     pub(super) tenant: usize,
     pub(super) epoch: usize,
-    /// Frontier lag observed when the tenant entered the epoch.
-    pub(super) staleness: usize,
     pub(super) ops: Vec<PendingOp>,
     /// Cumulative repository stats after this epoch.
     pub(super) hits: u64,
@@ -214,7 +208,7 @@ impl<'a> Inbox<'a> {
 /// — as soon as **all of the epoch's reports touching the shard** are in.
 /// A shard therefore never waits for the fleet's slowest shard, which is
 /// what shrinks commit latency on skewed scenarios; and because a tenant
-/// only ever observes its own shard, no consistency bound weakens.
+/// only ever observes its own shard, no tenant can tell the difference.
 ///
 /// Fleet-wide bookkeeping (the hit-rate curve) folds once **every** shard
 /// has passed an epoch, in epoch order, so it is identical to a whole-epoch
@@ -280,11 +274,10 @@ pub(super) struct Committer<'a, 'h> {
     /// barrier's sweep would have covered them.
     work: Vec<usize>,
     /// Commit-batch scratch reused across `(shard, epoch)` commits: the flat
-    /// op list and its parallel tenant/staleness columns. Capacity is
-    /// retained between commits, so steady-state commits allocate nothing.
+    /// op list and its parallel tenant column. Capacity is retained between
+    /// commits, so steady-state commits allocate nothing.
     scratch_ops: Vec<PendingOp>,
     scratch_tenants: Vec<usize>,
-    scratch_staleness: Vec<usize>,
 }
 
 impl<'a, 'h> Committer<'a, 'h> {
@@ -331,7 +324,6 @@ impl<'a, 'h> Committer<'a, 'h> {
             work: (0..shards).collect(),
             scratch_ops: Vec::new(),
             scratch_tenants: Vec::new(),
-            scratch_staleness: Vec::new(),
         }
     }
 
@@ -453,36 +445,21 @@ impl<'a, 'h> Committer<'a, 'h> {
                 let mut batch = std::mem::take(&mut self.pending[epoch][shard]);
                 batch.sort_by_key(|r| r.tenant);
                 let ops_retained = self.scratch_ops.capacity();
-                let cols_retained = self
-                    .scratch_tenants
-                    .capacity()
-                    .min(self.scratch_staleness.capacity());
+                let tenants_retained = self.scratch_tenants.capacity();
                 self.scratch_ops.clear();
                 self.scratch_tenants.clear();
-                self.scratch_staleness.clear();
                 for report in &mut batch {
                     let drained = std::mem::take(&mut report.ops);
                     self.scratch_tenants
                         .resize(self.scratch_tenants.len() + drained.len(), report.tenant);
-                    self.scratch_staleness.resize(
-                        self.scratch_staleness.len() + drained.len(),
-                        report.staleness,
-                    );
                     self.scratch_ops.extend(drained);
                 }
                 let saved = (self.scratch_ops.len().min(ops_retained)
                     * std::mem::size_of::<PendingOp>()
-                    + self.scratch_tenants.len().min(cols_retained)
-                        * 2
+                    + self.scratch_tenants.len().min(tenants_retained)
                         * std::mem::size_of::<usize>()) as u64;
                 recorder.with(|m| m.scratch_bytes_saved.add(saved));
-                commit_epoch(
-                    self.ctx,
-                    &self.scratch_ops,
-                    &self.scratch_tenants,
-                    &self.scratch_staleness,
-                    out,
-                );
+                commit_epoch(self.ctx, &self.scratch_ops, &self.scratch_tenants, out);
                 recorder.event(|| Event::ShardCommit {
                     shard: shard as u64,
                     epoch: epoch as u64,
@@ -497,7 +474,6 @@ impl<'a, 'h> Committer<'a, 'h> {
                 });
                 for report in &batch {
                     self.epoch_stats[epoch].push((report.tenant, report.hits, report.misses));
-                    out.summary.view_staleness.record(report.staleness);
                 }
                 self.shard_next[shard] = epoch + 1;
                 if !self.retained.is_empty() {
@@ -522,9 +498,9 @@ impl<'a, 'h> Committer<'a, 'h> {
                         lag,
                     });
                 }
-                // Advancing after the sweep keeps `staleness = 0` exact: no
-                // tenant enters its shard's next epoch while that shard
-                // still moves.
+                // Advancing after the sweep keeps the pool exact: no tenant
+                // enters its shard's next epoch while that shard still
+                // moves.
                 let released = self.frontiers.advance(shard, epoch + 1);
                 // An empty release set means no tenant became runnable (the
                 // frontier mutex orders park vs advance), so idle workers
@@ -589,7 +565,6 @@ impl EpochReport {
         EpochReport {
             tenant,
             epoch,
-            staleness: 0,
             ops: Vec::new(),
             hits: 0,
             misses: 0,
@@ -609,33 +584,34 @@ mod tests {
 
     #[test]
     fn shard_frontiers_gate_per_shard() {
-        let frontiers = ShardFrontiers::new(2, 1);
-        assert_eq!(frontiers.enter_or_park(0, 0, 7), Some(0));
+        let frontiers = ShardFrontiers::new(2);
+        assert!(frontiers.enter_or_park(0, 0, 7));
         assert!(frontiers.advance(0, 2).is_empty());
-        assert_eq!(frontiers.enter_or_park(0, 3, 7), Some(1));
+        assert!(frontiers.enter_or_park(0, 2, 7));
         // Shard 1's frontier is untouched by shard 0's advance.
-        assert_eq!(frontiers.enter_or_park(1, 1, 8), Some(1));
-        assert_eq!(frontiers.enter_or_park(1, 3, 8), None);
-        // Advancing the *other* shard must not release it; advancing its own
-        // does.
+        assert!(frontiers.enter_or_park(1, 0, 8));
+        assert!(!frontiers.enter_or_park(1, 2, 8));
+        // Advancing the *other* shard must not release it, nor advancing its
+        // own short of the parked epoch; reaching it does.
         assert!(frontiers.advance(0, 9).is_empty());
+        assert!(frontiers.advance(1, 1).is_empty());
         assert_eq!(frontiers.advance(1, 2), vec![8]);
-        assert_eq!(frontiers.enter_or_park(1, 3, 8), Some(1));
+        assert!(frontiers.enter_or_park(1, 2, 8));
     }
 
     #[test]
     fn parked_tenants_release_only_when_their_shard_catches_up() {
-        let frontiers = ShardFrontiers::new(2, 0);
-        assert_eq!(frontiers.enter_or_park(0, 0, 7), Some(0));
-        // Too far ahead: parked instead of admitted.
-        assert_eq!(frontiers.enter_or_park(0, 2, 7), None);
-        assert_eq!(frontiers.enter_or_park(0, 1, 8), None);
+        let frontiers = ShardFrontiers::new(2);
+        assert!(frontiers.enter_or_park(0, 0, 7));
+        // Early: parked instead of admitted.
+        assert!(!frontiers.enter_or_park(0, 2, 7));
+        assert!(!frontiers.enter_or_park(0, 1, 8));
         // The other shard's advance releases nobody.
         assert!(frontiers.advance(1, 5).is_empty());
         // Advancing shard 0 to one committed epoch admits only tenant 8.
         assert_eq!(frontiers.advance(0, 1), vec![8]);
         assert_eq!(frontiers.advance(0, 2), vec![7]);
-        assert_eq!(frontiers.enter_or_park(0, 2, 7), Some(0));
+        assert!(frontiers.enter_or_park(0, 2, 7));
     }
 
     /// Two tenants on one shard for the whole of a fault-free drive: what a
@@ -650,7 +626,7 @@ mod tests {
     }
 
     impl TwoTenants {
-        fn new(epochs: usize, staleness: usize) -> Self {
+        fn new(epochs: usize) -> Self {
             TwoTenants {
                 repo: Arc::new(SharedSignatureRepository::new(SharedRepoConfig {
                     shards: 1,
@@ -658,7 +634,7 @@ mod tests {
                 })),
                 recorder: Recorder::disabled(),
                 windows: [(0, epochs); 2],
-                frontiers: ShardFrontiers::new(1, staleness),
+                frontiers: ShardFrontiers::new(1),
                 injector: Injector::new(),
                 doorbell: Doorbell::default(),
             }
@@ -694,13 +670,12 @@ mod tests {
     }
 
     #[test]
-    fn an_abort_notice_may_overtake_the_dead_tenants_buffered_reports() {
-        // Two tenants on one shard, three epochs, K = 2. Tenant 1 dies in
-        // epoch 2 on one worker while its epoch-1 report still sits in
-        // another worker's buffer: the notice arrives first. The committer
-        // must stop expecting tenant 1 from epoch 2 on, still take the late
-        // epoch-1 report, and commit all three epochs.
-        let fleet = TwoTenants::new(3, 2);
+    fn an_abort_notice_stops_the_committer_waiting_for_the_dead_tenant() {
+        // Two tenants on one shard, three epochs. Tenant 1 dies in epoch 2,
+        // and its notice overtakes tenant 0's epoch-2 report. The committer
+        // must stop expecting tenant 1 from epoch 2 on and still commit all
+        // three epochs.
+        let fleet = TwoTenants::new(3);
         let ctx = fleet.context();
         let (tx, rx) = crossbeam_channel::unbounded::<ReportBatch>();
         let abort = EpochReport {
@@ -712,12 +687,12 @@ mod tests {
                 EpochReport::bare(0, 0, false),
                 EpochReport::bare(1, 0, false),
             ],
-            vec![abort],
             vec![
-                EpochReport::bare(0, 1, false),
-                EpochReport::bare(0, 2, true),
                 EpochReport::bare(1, 1, false),
+                EpochReport::bare(0, 1, false),
             ],
+            vec![abort],
+            vec![EpochReport::bare(0, 2, true)],
         ] {
             assert!(tx.send(message).is_ok(), "receiver alive");
         }
@@ -726,23 +701,18 @@ mod tests {
         fleet.committer(&ctx).run(&rx, &mut out);
         assert_eq!(out.failed, vec![None, Some(2)]);
         assert_eq!(out.hit_rate_curve.len(), 3, "every epoch folded");
-        assert_eq!(
-            out.summary.view_staleness.total(),
-            5,
-            "three reports of the survivor, two of the dead tenant"
-        );
     }
 
     #[test]
     fn a_frontier_advance_reinjects_its_release_set_with_one_ring_and_an_empty_one_is_silent() {
-        // Two epochs, K = 0; both tenants have stepped epoch 0 and sit
-        // parked on epoch 1.
-        let fleet = TwoTenants::new(2, 0);
+        // Two epochs; both tenants have stepped epoch 0 and sit parked on
+        // epoch 1.
+        let fleet = TwoTenants::new(2);
         let ctx = fleet.context();
         let mut committer = fleet.committer(&ctx);
         let mut out = TransportOutcome::new("test".to_string(), 2);
-        assert_eq!(fleet.frontiers.enter_or_park(0, 1, 0), None);
-        assert_eq!(fleet.frontiers.enter_or_park(0, 1, 1), None);
+        assert!(!fleet.frontiers.enter_or_park(0, 1, 0));
+        assert!(!fleet.frontiers.enter_or_park(0, 1, 1));
         let quiet = fleet.doorbell.generation();
 
         // Epoch 0 completes: the advance to one committed epoch releases

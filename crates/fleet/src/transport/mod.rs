@@ -12,30 +12,28 @@
 //!   for any worker count. It is the oracle every other run is compared to.
 //! * [`WorkStealing`] is the asynchronous transport: a pool of workers pulls
 //!   per-epoch tenant tasks from a shared deque (the vendored mini
-//!   `crossbeam-deque`), and a tenant may run up to `K` epochs ahead of the
-//!   commit frontier **of its own shard**, so fast tenants never wait at a
-//!   barrier for slow ones. Each tenant's view of the shared repository is
-//!   **at most `K` epochs stale** (a tenant too far ahead is parked as data
-//!   until its shard catches up; the lag is measured in
-//!   [`TransportOutcome`]'s staleness histograms). With `K = 0` a tenant may
-//!   not enter an epoch until every prior epoch its shard can observe is
-//!   fully committed — no tenant can observe or miss anything a BSP run
-//!   would not — so the output provably **bit-matches** [`BspBarrier`]
+//!   `crossbeam-deque`), and each tenant waits on the commit frontier **of
+//!   its own shard** only, so a tenant never waits for a shard it cannot
+//!   observe. A tenant may not enter an epoch until every prior epoch of its
+//!   shard is fully committed (one that is early is parked as data until its
+//!   shard catches up), so no tenant can observe or miss anything a BSP run
+//!   would not, and the output **bit-matches** [`BspBarrier`]
 //!   (property-tested in `tests/properties.rs` and fuzzed across scenarios
-//!   in `tests/differential.rs`). With `K > 0` the store changes underneath
-//!   running tenants, trading the bitwise reproducibility of results for
-//!   pipeline parallelism; the commit *sequence* itself stays deterministic
-//!   (per shard: epoch by epoch, tenant order within each epoch). Tenant
-//!   stepping, commit order and sweep times are all independent of which
-//!   worker executes what, so results are **invariant to the thread count**.
+//!   in `tests/differential.rs`). Tenant stepping, commit order and sweep
+//!   times are all independent of which worker executes what, so results
+//!   are **invariant to the thread count**.
+//!
+//! The pool has no staleness bound on purpose: letting tenants run ahead of
+//! their shard measured no faster than the barrier and more than doubled
+//! the fleet's tuning runs (README, "Removed, and why").
 //!
 //! The pool's committer keeps **per-shard commit frontiers**: a tenant only
 //! ever reads and writes the shard its namespace routes to, so a
 //! `(shard, epoch)` batch commits — and that shard's TTL sweep runs, at that
 //! epoch's timestamp — as soon as all of the epoch's reports *touching the
 //! shard* are in, instead of waiting for the whole fleet's slowest shard. On
-//! skewed scenarios that shrinks commit latency without weakening any bound
-//! a tenant can observe.
+//! skewed scenarios that shrinks commit latency without changing anything a
+//! tenant can observe.
 //!
 //! Epoch reports travel over the vendored mini mpsc channel
 //! (`crossbeam-channel`) in **batches**: a pool worker sends what it finished
@@ -409,37 +407,36 @@ impl FleetHarness<'_> {
     }
 }
 
-/// Histogram over observed staleness values (in epochs).
-///
-/// An alias of the shared exact-count histogram from `dejavu-obs` — the
-/// hand-rolled implementation that used to live here migrated into the
-/// flight-recorder crate so the transport layer and the obs report agree on
-/// one set of summary semantics (`counts`/`total`/`max`/`mean`).
+/// The exact-count histogram type of [`TransportSummary`]'s two staleness
+/// fields. Kept only for the benchmark's barrier replica.
 pub use dejavu_obs::ExactHistogram as StalenessHistogram;
 
-/// What a transport reports about its own behaviour: which backend ran, how
-/// stale tenant views were, and how stale the views serving fleet reuses
-/// were. Carried into [`crate::FleetReport`].
+/// What a transport reports about its own behaviour: which backend ran.
+/// Carried into [`crate::FleetReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportSummary {
-    /// Backend label (`"bsp"`, `"steal(threads=N,staleness=K)"`).
+    /// Backend label (`"bsp"`, `"steal(threads=N)"`).
     pub name: String,
-    /// Observed view staleness, one observation per tenant-epoch actually
-    /// stepped: how many epochs the commit frontier trailed the tenant when
-    /// it entered the epoch. All-zero under [`BspBarrier`].
+    /// Every view is fresh, so this only ever counts zeros: one per
+    /// tenant-epoch under [`BspBarrier`], none under [`WorkStealing`]. Kept
+    /// only because the benchmark's barrier replica records the same and
+    /// checks that the two summaries are equal.
     pub view_staleness: StalenessHistogram,
-    /// Reuse latency: for every committed cross-tenant hit, the view
-    /// staleness of the epoch that produced it — how fresh the shared
-    /// knowledge serving reuses actually was.
+    /// Like `view_staleness`: one zero per committed cross-tenant hit under
+    /// [`BspBarrier`], none under [`WorkStealing`], kept for the same replica.
     pub reuse_staleness: StalenessHistogram,
 }
 
 impl TransportSummary {
-    /// The summary of a barrier run that never left epoch lock-step (also the
-    /// placeholder for hand-built reports).
+    /// The summary of a barrier run (also the placeholder for hand-built
+    /// reports). Kept for the benchmark's barrier replica.
     pub fn bsp() -> Self {
+        TransportSummary::named("bsp".to_string())
+    }
+
+    fn named(name: String) -> Self {
         TransportSummary {
-            name: "bsp".to_string(),
+            name,
             view_staleness: StalenessHistogram::default(),
             reuse_staleness: StalenessHistogram::default(),
         }
@@ -484,7 +481,7 @@ pub struct FaultSummary {
 /// Everything a transport hands back to the engine after driving a fleet.
 #[derive(Debug, Clone)]
 pub struct TransportOutcome {
-    /// Transport self-telemetry (label + staleness histograms).
+    /// Transport self-telemetry (its label).
     pub summary: TransportSummary,
     /// Fleet-wide cumulative repository hit rate after each epoch.
     pub hit_rate_curve: Vec<f64>,
@@ -502,11 +499,7 @@ pub struct TransportOutcome {
 impl TransportOutcome {
     fn new(name: String, tenants: usize) -> Self {
         TransportOutcome {
-            summary: TransportSummary {
-                name,
-                view_staleness: StalenessHistogram::default(),
-                reuse_staleness: StalenessHistogram::default(),
-            },
+            summary: TransportSummary::named(name),
             hit_rate_curve: Vec::new(),
             cross_tenant_hits: vec![0; tenants],
             failed: vec![None; tenants],
@@ -520,8 +513,9 @@ impl TransportOutcome {
 ///
 /// Implementations must commit each epoch's operations **in tenant order**
 /// (ties in the scenario's commit sequence are what keep shard-level results
-/// reproducible) and run the TTL sweep once per epoch; beyond that they are
-/// free to choose any consistency model between tenants and the store.
+/// reproducible) and run the TTL sweep once per epoch, and no tenant may
+/// enter an epoch before every earlier epoch it can observe has committed —
+/// so every transport's run is bit-identical to [`BspBarrier`]'s.
 pub trait CommitTransport: Send + Sync {
     /// Label recorded in reports and benchmarks.
     fn name(&self) -> String;
@@ -540,16 +534,11 @@ pub enum TransportConfig {
     #[default]
     Bsp,
     /// A pool of `threads` workers pulls per-epoch tenant tasks from a shared
-    /// work-stealing deque; tenants observe the shared repository at most
-    /// `staleness` epochs stale. Results are invariant to the thread count;
-    /// `staleness = 0` bit-matches [`TransportConfig::Bsp`], larger values
-    /// trade bitwise result reproducibility for pipeline parallelism.
+    /// work-stealing deque, each tenant gated on its own shard's commit
+    /// frontier. Bit-matches [`TransportConfig::Bsp`] at any thread count.
     WorkStealing {
         /// Worker threads in the pool (clamped to `1..=tenants`).
         threads: usize,
-        /// Maximum number of epochs a tenant's view may trail its shard's
-        /// commit frontier.
-        staleness: usize,
     },
 }
 
@@ -558,9 +547,7 @@ impl TransportConfig {
     pub fn backend(self) -> Box<dyn CommitTransport> {
         match self {
             TransportConfig::Bsp => Box::new(BspBarrier),
-            TransportConfig::WorkStealing { threads, staleness } => {
-                Box::new(WorkStealing { threads, staleness })
-            }
+            TransportConfig::WorkStealing { threads } => Box::new(WorkStealing { threads }),
         }
     }
 
@@ -568,18 +555,29 @@ impl TransportConfig {
     /// `--transport`) into a configuration — the typed front door, so an
     /// unknown backend name is a proper error listing the valid choices
     /// instead of a panic, and extending the backend set cannot leave a
-    /// stale catch-all match arm behind. `threads` and `staleness` carry
-    /// the values of `--threads` / `--staleness`; `bsp` ignores them.
+    /// stale catch-all match arm behind. `threads` carries the value of
+    /// `--threads`; `bsp` ignores it.
+    ///
+    /// `staleness` is the bound the pool no longer has. It stays a parameter
+    /// only because the benchmark passes `0`; any other value is an error.
     pub fn parse(backend: &str, threads: usize, staleness: usize) -> Result<Self, String> {
-        match backend {
-            "bsp" => Ok(TransportConfig::Bsp),
-            "steal" => Ok(TransportConfig::WorkStealing { threads, staleness }),
-            other => Err(format!(
-                "unknown transport '{other}': valid backends are 'bsp' (lock-step epoch \
-                 barrier) and 'steal' (work-stealing pool, views at most K epochs stale; \
-                 --threads N --staleness K)"
-            )),
+        let transport = match backend {
+            "bsp" => TransportConfig::Bsp,
+            "steal" => TransportConfig::WorkStealing { threads },
+            other => {
+                return Err(format!(
+                    "unknown transport '{other}': valid backends are 'bsp' (lock-step epoch \
+                     barrier) and 'steal' (work-stealing pool; --threads N)"
+                ))
+            }
+        };
+        if staleness != 0 {
+            return Err(format!(
+                "staleness {staleness} was removed: every transport serves views that are \
+                 never stale"
+            ));
         }
+        Ok(transport)
     }
 
     /// Whether this backend can host the given fault plan. The BSP barrier
@@ -606,35 +604,34 @@ fn hit_rate(hits: u64, misses: u64) -> f64 {
 }
 
 /// Commits one epoch's operations and accounts applied cross-tenant hits.
-/// `op_tenants[i]`/`op_staleness[i]` describe which tenant buffered `ops[i]`
-/// and how stale its view was during that epoch.
+/// `op_tenants[i]` is the tenant that buffered `ops[i]`. Returns how many
+/// cross-tenant hits applied.
 fn commit_epoch(
     ctx: &FleetContext<'_>,
     ops: &[PendingOp],
     op_tenants: &[usize],
-    op_staleness: &[usize],
     out: &mut TransportOutcome,
-) {
+) -> u64 {
     if ops.is_empty() {
-        return;
+        return 0;
     }
     let recorder = ctx.recorder();
     let started = recorder.start();
     let applied = ctx.commit(ops);
     recorder.observe(started, |m| &m.commit_batch_ns);
     recorder.with(|m| m.commit_batch_ops.record(ops.len() as u64));
-    for (((op, &tenant), &staleness), applied) in
-        ops.iter().zip(op_tenants).zip(op_staleness).zip(applied)
-    {
+    let mut hits = 0;
+    for ((op, &tenant), applied) in ops.iter().zip(op_tenants).zip(applied) {
         // A hit only counts if the store still held the entry at commit time
         // (an earlier publish in the same barrier can have re-anchored the
         // namespace), keeping the engine-side and store-side cross-tenant
         // counters consistent.
         if applied && matches!(op, PendingOp::RecordHit { .. }) {
             out.cross_tenant_hits[tenant] += 1;
-            out.summary.reuse_staleness.record(staleness);
+            hits += 1;
         }
     }
+    hits
 }
 
 /// Tenants a barrier worker takes per trip to the epoch's block queue: small
@@ -677,7 +674,6 @@ impl CommitTransport for BspBarrier {
         // nothing.
         let mut ops: Vec<PendingOp> = Vec::new();
         let mut op_tenants: Vec<usize> = Vec::new();
-        let mut op_staleness: Vec<usize> = Vec::new();
         for epoch in 0..ctx.epochs {
             recorder.event(|| Event::EpochBegin {
                 epoch: epoch as u64,
@@ -729,10 +725,9 @@ impl CommitTransport for BspBarrier {
             // age out stale entries. This is the only place the shared store
             // changes under this transport.
             let ops_retained = ops.capacity();
-            let cols_retained = op_tenants.capacity().min(op_staleness.capacity());
+            let tenants_retained = op_tenants.capacity();
             ops.clear();
             op_tenants.clear();
-            op_staleness.clear();
             for handle in &mut handles {
                 if out.failed[handle.index()].is_some() {
                     continue;
@@ -741,12 +736,17 @@ impl CommitTransport for BspBarrier {
                 op_tenants.resize(op_tenants.len() + drained.len(), handle.index());
                 ops.extend(drained);
             }
-            op_staleness.resize(ops.len(), 0);
             let saved = (ops.len().min(ops_retained) * std::mem::size_of::<PendingOp>()
-                + op_tenants.len().min(cols_retained) * 2 * std::mem::size_of::<usize>())
+                + op_tenants.len().min(tenants_retained) * std::mem::size_of::<usize>())
                 as u64;
             recorder.with(|m| m.scratch_bytes_saved.add(saved));
-            commit_epoch(&ctx, &ops, &op_tenants, &op_staleness, &mut out);
+            let hits = commit_epoch(&ctx, &ops, &op_tenants, &mut out);
+            // Views behind the barrier are never stale. The zeros are
+            // recorded only for the benchmark's barrier replica, which
+            // records the same and checks the two summaries are equal.
+            for _ in 0..hits {
+                out.summary.reuse_staleness.record(0);
+            }
             let reclaimed = ctx.sweep(epoch);
             recorder.with(|m| m.sweep_reclaimed.add(reclaimed));
 
@@ -758,10 +758,6 @@ impl CommitTransport for BspBarrier {
                 hits += h;
                 misses += m;
                 if !handle.retired() {
-                    // Mirror the bounded-staleness tenant loop exactly: one
-                    // observation per epoch inside the tenancy window (a
-                    // zero-length window — start == stop — steps nothing
-                    // and records nothing).
                     if epoch >= handle.start_epoch() && epoch < handle.end_epoch() {
                         out.summary.view_staleness.record(0);
                     }
@@ -785,45 +781,32 @@ impl CommitTransport for BspBarrier {
 mod tests {
     use super::*;
 
-    const POOL: TransportConfig = TransportConfig::WorkStealing {
-        threads: 4,
-        staleness: 2,
-    };
-
-    #[test]
-    fn staleness_histogram_summarizes() {
-        let mut h = StalenessHistogram::default();
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0.0);
-        h.record(0);
-        h.record(0);
-        h.record(2);
-        assert_eq!(h.counts(), &[2, 0, 1]);
-        assert_eq!(h.total(), 3);
-        assert_eq!(h.max(), 2);
-        assert!((h.mean() - 2.0 / 3.0).abs() < 1e-12);
-    }
+    const POOL: TransportConfig = TransportConfig::WorkStealing { threads: 4 };
 
     #[test]
     fn transport_config_materializes_named_backends() {
         assert_eq!(TransportConfig::default(), TransportConfig::Bsp);
         assert_eq!(TransportConfig::Bsp.backend().name(), "bsp");
-        assert_eq!(POOL.backend().name(), "steal(threads=4,staleness=2)");
+        assert_eq!(POOL.backend().name(), "steal(threads=4)");
     }
 
     #[test]
     fn transport_parse_accepts_both_backends_and_rejects_the_rest() {
         assert_eq!(
-            TransportConfig::parse("bsp", 4, 2),
+            TransportConfig::parse("bsp", 4, 0),
             Ok(TransportConfig::Bsp)
         );
-        assert_eq!(TransportConfig::parse("steal", 4, 2), Ok(POOL));
+        assert_eq!(TransportConfig::parse("steal", 4, 0), Ok(POOL));
+        // The removed staleness bound: only the benchmark's 0 is accepted.
+        for backend in ["bsp", "steal"] {
+            let err = TransportConfig::parse(backend, 4, 2).expect_err("staleness was removed");
+            assert!(err.contains("removed"), "{err}");
+        }
         // Any other name — the removed backends' have no arm of their own
         // either — is the typed error. Every quoted name in the message: the
         // offender, then the choices.
         for unknown in ["quorum", "async"] {
-            let err = TransportConfig::parse(unknown, 4, 2).expect_err("unknown backend");
+            let err = TransportConfig::parse(unknown, 4, 0).expect_err("unknown backend");
             let quoted: Vec<&str> = err.split('\'').skip(1).step_by(2).collect();
             assert_eq!(quoted, [unknown, "bsp", "steal"], "{err}");
         }

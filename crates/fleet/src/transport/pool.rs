@@ -55,11 +55,10 @@ impl Doorbell {
 
 /// Sends an `aborted` report if a tenant's epoch unwinds on its worker, so
 /// the committer learns about the death instead of deadlocking on the
-/// missing epoch reports; clearing `armed` marks a clean exit. The notice is
-/// a message of its own, so it can overtake earlier reports of the same
-/// tenant still buffered by another pool worker; admission tolerates that
-/// (dedup by `(tenant, epoch)`, expectations adjusted from the abort epoch
-/// on).
+/// missing epoch reports; clearing `armed` marks a clean exit. A tenant only
+/// runs an epoch once its shard committed every earlier one, so the notice
+/// never overtakes a report of its own tenant: the committer just stops
+/// expecting that tenant from the abort epoch on.
 struct AbortOnDrop<'a> {
     tx: &'a crossbeam_channel::Sender<ReportBatch>,
     tenant: usize,
@@ -77,7 +76,6 @@ impl Drop for AbortOnDrop<'_> {
             let _ = self.tx.send(vec![EpochReport {
                 tenant: self.tenant,
                 epoch: self.epoch,
-                staleness: 0,
                 ops: Vec::new(),
                 hits: 0,
                 misses: 0,
@@ -104,8 +102,9 @@ struct TenantTask<'a> {
 /// How many finished reports a pool worker holds before it sends them no
 /// matter what else it has queued. The usual flush is the local deque
 /// running dry (at most one injector batch of tasks away); the cap bounds
-/// what a worker can withhold from the committer while `staleness > 0` lets
-/// it step the same tenants several epochs in a row.
+/// what a worker can withhold from the committer while that batch lasts —
+/// every held report keeps its shard's frontier, and so every tenant parked
+/// on that shard, waiting.
 pub(crate) const REPORT_BATCH_CAP: usize = 32;
 
 /// A pool worker's finished-but-unsent epoch reports. The committer is woken
@@ -222,17 +221,13 @@ impl<'h> StealPool<'_, 'h> {
     }
 
     /// Asks `tenant`'s shard frontier whether the tenant may enter its next
-    /// epoch, and claims its task out of the slot if so (with the observed
-    /// staleness); otherwise the tenant is parked where it sits. `returning`
-    /// is the task of a worker that just stepped the tenant and hands it
-    /// back. The slot stays locked across the question, so the task is in
-    /// its slot before the frontier can park it, and a release racing the
-    /// answer finds it there as soon as this worker lets go.
-    fn claim(
-        &self,
-        tenant: usize,
-        returning: Option<TenantTask<'h>>,
-    ) -> Option<(TenantTask<'h>, usize)> {
+    /// epoch, and claims its task out of the slot if so; otherwise the
+    /// tenant is parked where it sits. `returning` is the task of a worker
+    /// that just stepped the tenant and hands it back. The slot stays locked
+    /// across the question, so the task is in its slot before the frontier
+    /// can park it, and a release racing the answer finds it there as soon
+    /// as this worker lets go.
+    fn claim(&self, tenant: usize, returning: Option<TenantTask<'h>>) -> Option<TenantTask<'h>> {
         let mut slot = self.slots[tenant].lock().expect("tenant slot poisoned");
         if let Some(task) = returning {
             *slot = Some(task);
@@ -241,11 +236,11 @@ impl<'h> StealPool<'_, 'h> {
             .as_ref()
             .expect("tenant scheduled while not in its slot")
             .next_epoch;
-        let admitted = self
+        if self
             .frontiers
-            .enter_or_park(self.tenant_shard[tenant], epoch, tenant);
-        if let Some(staleness) = admitted {
-            return slot.take().map(|task| (task, staleness));
+            .enter_or_park(self.tenant_shard[tenant], epoch, tenant)
+        {
+            return slot.take();
         }
         drop(slot);
         // Parked; the committer re-injects it on advance.
@@ -260,12 +255,13 @@ impl<'h> StealPool<'_, 'h> {
 
     /// Steps `tenant` epoch after epoch until its shard's frontier parks it
     /// or its window ends. After each epoch the worker asks the frontier for
-    /// the next one directly: under `staleness = 0` that parks the tenant on
-    /// the spot, with no trip through a deque; under a larger bound the
-    /// worker keeps the hot tenant, as the LIFO deque used to arrange.
+    /// the next one directly. That almost always parks the tenant on the
+    /// spot, with no trip through a deque, because its own report for the
+    /// epoch has not committed yet; only a report that already went out
+    /// (a flush at the cap) and committed lets the worker keep the tenant.
     fn run_tenant(&self, tenant: usize, outbound: &mut ReportBuffer<'_>) {
         let mut claimed = self.claim(tenant, None);
-        while let Some((mut task, staleness)) = claimed {
+        while let Some(mut task) = claimed {
             let epoch = task.next_epoch;
             // A panicking tenant (service model or poisoned outbox) must
             // kill only itself, never the pool: the epoch body runs under
@@ -317,7 +313,6 @@ impl<'h> StealPool<'_, 'h> {
             let sent = outbound.push(EpochReport {
                 tenant,
                 epoch,
-                staleness,
                 ops,
                 hits,
                 misses,
@@ -341,41 +336,33 @@ impl<'h> StealPool<'_, 'h> {
     }
 }
 
-/// The work-stealing transport: bounded-staleness consistency on a **fixed
-/// worker pool**.
+/// The work-stealing transport: the barrier's consistency on a **fixed
+/// worker pool** with per-shard frontiers.
 ///
 /// [`threads`](Self::threads) workers pull per-epoch tenant tasks from a
 /// shared deque (the vendored mini `crossbeam-deque`: a global injector plus
 /// per-worker deques with stealers), so a 1000-tenant fleet runs on a
-/// handful of threads. A tenant may advance up to
-/// [`staleness`](Self::staleness) epochs beyond **its shard's** commit
-/// frontier; one whose frontier is too far behind is **parked as data**
+/// handful of threads. A tenant enters an epoch only once **its shard** has
+/// committed every earlier epoch; until then it is **parked as data**
 /// (never blocking a pool worker) and re-injected by the committer when its
 /// shard catches up. The per-tenant-epoch path is kept free of wake-ups: a
 /// worker asks the frontier for a tenant's next epoch right after stepping
-/// it (under `staleness = 0` that parks the tenant where it sits) and sends
-/// its finished reports in batches (see [`ReportBuffer`]).
+/// it (which parks the tenant where it sits) and sends its finished reports
+/// in batches (see [`ReportBuffer`]).
 ///
 /// The committer assembles each shard's epoch reports, applies them in
 /// tenant order, runs that shard's TTL sweep and advances its frontier. Why
-/// that keeps views within `staleness` epochs, makes `staleness = 0`
-/// bit-match [`BspBarrier`](super::BspBarrier) and leaves results invariant
-/// to the thread count is laid out in the [module docs](super).
+/// that bit-matches [`BspBarrier`](super::BspBarrier) and leaves results
+/// invariant to the thread count is laid out in the [module docs](super).
 #[derive(Debug, Clone, Copy)]
 pub struct WorkStealing {
     /// Worker threads in the pool (clamped to `1..=tenants`).
     pub threads: usize,
-    /// Maximum number of epochs a tenant's view may trail its shard's commit
-    /// frontier.
-    pub staleness: usize,
 }
 
 impl CommitTransport for WorkStealing {
     fn name(&self) -> String {
-        format!(
-            "steal(threads={},staleness={})",
-            self.threads, self.staleness
-        )
+        format!("steal(threads={})", self.threads)
     }
 
     fn drive(&self, harness: &mut FleetHarness<'_>) -> TransportOutcome {
@@ -394,7 +381,7 @@ impl CommitTransport for WorkStealing {
             .map(|h| ctx.shard_of(h.namespace()))
             .collect();
         let threads = self.threads.clamp(1, tenant_count);
-        let frontiers = ShardFrontiers::new(ctx.shard_count(), self.staleness);
+        let frontiers = ShardFrontiers::new(ctx.shard_count());
         let domain = fault_domain(&ctx, &windows, &tenant_shard);
         let domain_ref = domain.as_ref();
         let injector = Injector::new();
@@ -490,7 +477,7 @@ mod tests {
 
     #[test]
     fn poisoned_frontiers_wake_and_kill_waiters() {
-        let frontiers = ShardFrontiers::new(2, 0);
+        let frontiers = ShardFrontiers::new(2);
         let doorbell = Doorbell::default();
         let heard = doorbell.generation();
         std::thread::scope(|scope| {

@@ -495,15 +495,15 @@ impl<'a> FaultyInbox<'a> {
 /// its shard's image at the tenant's join epoch, replays every epoch up to
 /// the crash **deterministically** against a private clone advanced delta by
 /// delta (each replayed epoch reads exactly the repository state its
-/// original execution read — under `staleness = 0` this makes recovery
-/// bit-exact), then switches the rebuilt tenant's view back to the live
-/// shared repository. Replayed publishes are discarded: they were already
-/// committed the first time round, and the idempotent committer would drop
-/// re-sent ones anyway.
+/// original execution read, which makes recovery bit-exact), then switches
+/// the rebuilt tenant's view back to the live shared repository. Replayed
+/// publishes are discarded: they were already committed the first time
+/// round, and the idempotent committer would drop re-sent ones anyway.
 ///
-/// With `staleness > 0` tail deltas the committer has not captured yet may
-/// be missing; replay then reads a slightly older image — still within the
-/// transport's staleness bound, so no consistency guarantee weakens.
+/// The tenant entered `epoch` only after its shard committed — and so
+/// checkpointed — every earlier epoch, so the chain always covers the whole
+/// replay. A chain that does not is a broken invariant and panics rather
+/// than replay a different image.
 ///
 /// Returns the number of epochs replayed.
 pub(super) fn crash_and_recover(
@@ -525,18 +525,17 @@ pub(super) fn crash_and_recover(
     let (base, deltas) = {
         let store = domain.store.lock().expect("checkpoint store poisoned");
         let store = store.store();
-        // With `staleness > 0` a free-running tenant can crash before the
-        // committer has committed (hence checkpointed) epochs up to its own
-        // window start; replay then begins from the newest image the chain
-        // can produce — still within the staleness bound. Under K = 0 the
-        // frontier gate keeps the chain complete through the crash epoch,
-        // so the clamp is a no-op and replay stays bit-exact.
-        let base_epoch = start.min(store.chain_end(shard));
-        let base = store
-            .materialize(shard, base_epoch)
-            .expect("compaction floors pin every crash-scheduled tenancy window");
-        let deltas: Vec<Option<DeltaSnapshot>> =
-            (start..epoch).map(|e| store.delta(shard, e).ok()).collect();
+        let chain_end = store.chain_end(shard);
+        assert!(
+            chain_end >= epoch,
+            "tenant {tenant} crashed in epoch {epoch} but shard {shard}'s checkpoint chain \
+             ends at epoch {chain_end}: the frontier admitted it early"
+        );
+        let pinned = "compaction floors pin every crash-scheduled tenancy window";
+        let base = store.materialize(shard, start).expect(pinned);
+        let deltas: Vec<DeltaSnapshot> = (start..epoch)
+            .map(|e| store.delta(shard, e).expect(pinned))
+            .collect();
         (base, deltas)
     };
     let replay_repo = Arc::new(
@@ -557,11 +556,9 @@ pub(super) fn crash_and_recover(
             // Replayed publishes were already committed the first time.
             outbox.lock().expect("tenant outbox poisoned").clear();
         }
-        if let Some(delta) = delta {
-            replay_repo
-                .apply_shard_delta(&delta)
-                .expect("replay follows the chain in epoch order");
-        }
+        replay_repo
+            .apply_shard_delta(&delta)
+            .expect("replay follows the chain in epoch order");
         replayed += 1;
         recorder.with(|m| m.replayed_epochs.inc());
     }
@@ -571,7 +568,7 @@ pub(super) fn crash_and_recover(
         .fetch_add(replayed, Ordering::Relaxed);
     // Switch the rebuilt tenant from its private replay clone to the live
     // shared repository; recovery guarantees the anchor state it resolved
-    // against matches what the live store holds (exactly, under K = 0).
+    // against matches what the live store holds, exactly.
     run.controller
         .store_mut()
         .as_any_mut()

@@ -1,7 +1,7 @@
 //! Fleet flight recorder: a zero-overhead metrics registry + event trace.
 //!
 //! The fleet's instrumentation used to be ad-hoc — relaxed atomics in the
-//! shared repository, staleness histograms hand-rolled in the transport
+//! shared repository, exact-count histograms hand-rolled in the transport
 //! summary — with no shared registry and no event trace. This crate is the
 //! one implementation everything records through:
 //!
@@ -9,7 +9,7 @@
 //! * [`LogHistogram`] — a log₂-bucketed latency/size histogram (64 fixed
 //!   buckets of relaxed atomics) with deterministic p50/p90/p99 extraction.
 //! * [`ExactHistogram`] — an exact small-domain histogram (index = value),
-//!   the shared implementation behind the transport's staleness summaries.
+//!   the type of the transport summary's two histograms.
 //! * [`Event`] — typed trace events (epoch begin/commit, shard batch commit,
 //!   TTL sweep with reclaim count, frontier advance/lag, worker
 //!   steal/park/wake, snapshot save/load) kept in a bounded ring buffer.
@@ -227,9 +227,8 @@ impl LogHistogram {
 /// An exact histogram over a small non-negative integer domain: bucket `i`
 /// counts observations of the value `i` itself.
 ///
-/// This is the shared implementation behind the transport layer's staleness
-/// summaries (re-exported there as `StalenessHistogram`); equality compares
-/// bucket contents exactly, which the differential fuzzer relies on.
+/// The transport summary's two histograms use it (re-exported there as
+/// `StalenessHistogram`); equality compares bucket contents exactly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExactHistogram {
     counts: Vec<u64>,
@@ -356,7 +355,7 @@ pub struct Metrics {
     pub commit_batch_ops: LogHistogram,
     /// Per-shard commit-frontier lag behind the leading shard.
     pub shard_lag: ShardLagTable,
-    /// Tenant parks: a tenant blocked on its staleness bound.
+    /// Tenant parks: a tenant waiting for its shard's frontier.
     pub parks: Counter,
     /// Successful steals: a worker ran a task taken from the injector or
     /// another worker's deque rather than its own.
@@ -463,7 +462,7 @@ pub enum Event {
         /// Worker index.
         worker: u64,
     },
-    /// A tenant parked on its staleness bound.
+    /// A tenant parked, waiting for its shard's frontier.
     WorkerPark {
         /// Tenant index.
         tenant: u64,

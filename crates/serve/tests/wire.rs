@@ -86,10 +86,7 @@ fn wire_runs_bit_match_in_process_runs() {
         let transport = if case % 2 == 0 {
             TransportConfig::Bsp
         } else {
-            TransportConfig::WorkStealing {
-                threads: 2,
-                staleness: 0,
-            }
+            TransportConfig::WorkStealing { threads: 2 }
         };
         let engine = FleetEngine::new(
             scenario,

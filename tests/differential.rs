@@ -1,9 +1,9 @@
 //! Cross-transport differential scenario fuzzer.
 //!
 //! The fleet has two commit transports — the lock-step BSP barrier and the
-//! bounded-staleness work-stealing pool — and the pool promises that at
-//! `staleness = 0` a run is **bit-identical** to the barrier, for any thread
-//! count (one worker per tenant included), on any scenario. The only way to
+//! work-stealing pool — and the pool promises that a run is
+//! **bit-identical** to the barrier, for any thread count (one worker per
+//! tenant included), on any scenario. The only way to
 //! trust that promise is the Anvil discipline:
 //! generate scenarios covering the whole configuration space (tenant counts,
 //! family mixes, churn windows, TTLs, shard counts, snapshot warm-starts),
@@ -16,7 +16,7 @@
 //!
 //! Invariants pinned, per fuzzed scenario:
 //!
-//! * **K = 0 bit-match.** BSP and `WorkStealing` at one worker per tenant
+//! * **Bit-match.** BSP and `WorkStealing` at one worker per tenant
 //!   and at thread caps 1/2/4 produce byte-identical reports — every per-tenant
 //!   result, the hit-rate curve, and the shared repository's entry/anchor
 //!   counts and statistics (hits, misses, insertions, **evictions** — the
@@ -24,11 +24,6 @@
 //! * **Thread-cap invariance.** The work-stealing caps are compared to each
 //!   other, not just to BSP, so a cap-dependent divergence cannot hide
 //!   behind a loose reference.
-//! * **Staleness bound for K > 0.** View- and reuse-staleness histograms
-//!   never exceed the bound, one view observation is recorded per
-//!   tenant-epoch actually stepped, and the schedule-determined fields
-//!   (admission epoch, active epochs, horizon, curve length) still match the
-//!   barrier bit for bit even though `K > 0` results are allowed to drift.
 //! * **Warm starts.** All of the above also holds when every transport
 //!   resumes from the same snapshot of a seed fleet — including TTL expiry
 //!   of seeded entries in shards the fuzzed tenants never touch, which only
@@ -81,10 +76,10 @@ fn run_warm(
     report
 }
 
-/// Every transport at `staleness = 0` — the barrier and the work-stealing
-/// pool at one worker per tenant and at each cap — produces a bit-identical
-/// run on every fuzzed scenario, and the staleness telemetry agrees exactly.
-fn assert_zero_staleness_family_matches(
+/// Every transport — the barrier and the work-stealing pool at one worker
+/// per tenant and at each cap — produces a bit-identical run on every
+/// fuzzed scenario.
+fn assert_transport_family_matches(
     bsp: &FleetReport,
     scenario: &Scenario,
     runner: impl Fn(TransportConfig) -> FleetReport,
@@ -92,31 +87,12 @@ fn assert_zero_staleness_family_matches(
 ) {
     let per_tenant = runner(TransportConfig::WorkStealing {
         threads: scenario.tenants.len(),
-        staleness: 0,
     });
     assert_reports_bit_match(bsp, &per_tenant, &format!("{label} per_tenant"));
-    assert_eq!(
-        per_tenant.transport.view_staleness.max(),
-        0,
-        "{label} per_tenant"
-    );
     let mut steal_runs = Vec::new();
     for threads in THREAD_CAPS {
-        let steal = runner(TransportConfig::WorkStealing {
-            threads,
-            staleness: 0,
-        });
+        let steal = runner(TransportConfig::WorkStealing { threads });
         assert_reports_bit_match(bsp, &steal, &format!("{label} steal{threads}T"));
-        assert_eq!(
-            steal.transport.view_staleness.max(),
-            0,
-            "{label} steal{threads}T"
-        );
-        assert_eq!(
-            steal.transport.view_staleness.total(),
-            per_tenant.transport.view_staleness.total(),
-            "{label} steal{threads}T telemetry totals"
-        );
         steal_runs.push((threads, steal));
     }
     // Thread-cap invariance checked pairwise, not just against the (already
@@ -135,7 +111,7 @@ fn fuzzed_scenarios_bit_match_across_transports_at_zero_staleness() {
         let repo = fuzz_repo(rng);
         let bsp = run(&scenario, &repo, TransportConfig::Bsp);
         assert_eq!(bsp.epochs, scenario.horizon_epochs(), "case {case}");
-        assert_zero_staleness_family_matches(
+        assert_transport_family_matches(
             &bsp,
             &scenario,
             |transport| run(&scenario, &repo, transport),
@@ -176,72 +152,12 @@ fn fuzzed_warm_starts_bit_match_across_transports_at_zero_staleness() {
         let scenario = fuzz_scenario(rng, case);
         let bsp = run_warm(&scenario, &seed_repo, TransportConfig::Bsp, &snapshot);
         assert!(bsp.warm_start, "case {case}: seed fleet left no entries");
-        assert_zero_staleness_family_matches(
+        assert_transport_family_matches(
             &bsp,
             &scenario,
             |transport| run_warm(&scenario, &seed_repo, transport, &snapshot),
             &format!("warm case {case}"),
         );
-    });
-}
-
-#[test]
-fn staleness_bound_holds_and_schedule_fields_stay_deterministic_for_positive_k() {
-    cases(4, |rng, case| {
-        let scenario = fuzz_scenario(rng, case);
-        let repo = fuzz_repo(rng);
-        let k = 1 + rng.uniform_usize(3);
-        let bsp = run(&scenario, &repo, TransportConfig::Bsp);
-        let expected_views: u64 = bsp.tenants.iter().map(|t| t.active_epochs as u64).sum();
-        let mut runs = vec![run(
-            &scenario,
-            &repo,
-            TransportConfig::WorkStealing {
-                threads: scenario.tenants.len(),
-                staleness: k,
-            },
-        )];
-        for threads in [1, 3] {
-            runs.push(run(
-                &scenario,
-                &repo,
-                TransportConfig::WorkStealing {
-                    threads,
-                    staleness: k,
-                },
-            ));
-        }
-        for report in &runs {
-            let label = format!("case {case} k={k} {}", report.transport.name);
-            assert!(
-                report.transport.view_staleness.max() <= k,
-                "{label}: view staleness {} exceeded the bound",
-                report.transport.view_staleness.max()
-            );
-            assert!(
-                report.transport.reuse_staleness.max() <= k,
-                "{label}: reuse staleness {} exceeded the bound",
-                report.transport.reuse_staleness.max()
-            );
-            // K > 0 results may drift bitwise, but everything the epoch grid
-            // determines — admission, retirement, horizon, telemetry volume —
-            // must still match the barrier exactly.
-            assert_eq!(report.epochs, bsp.epochs, "{label}: horizon");
-            assert_eq!(
-                report.hit_rate_curve.len(),
-                bsp.epochs,
-                "{label}: curve length"
-            );
-            assert_eq!(
-                report.transport.view_staleness.total(),
-                expected_views,
-                "{label}: one view observation per stepped tenant-epoch"
-            );
-            for (x, y) in bsp.tenants.iter().zip(&report.tenants) {
-                assert_eq!(x.joined_epoch, y.joined_epoch, "{label} {}", x.name);
-                assert_eq!(x.active_epochs, y.active_epochs, "{label} {}", x.name);
-            }
-        }
     });
 }
 
@@ -286,7 +202,7 @@ fn frontier_aware_ttl_sweep_cannot_resurrect_deferred_stale_entries() {
             evictions > 0,
             "case {case}: the TTL never fired — the regression scenario is vacuous"
         );
-        assert_zero_staleness_family_matches(
+        assert_transport_family_matches(
             &bsp,
             &scenario,
             |transport| run(&scenario, &repo, transport),
@@ -325,7 +241,7 @@ fn run_with_obs(
 }
 
 /// The flight recorder never perturbs results: an obs-on run bit-matches the
-/// obs-off barrier reference for every transport at `staleness = 0`, on
+/// obs-off barrier reference for every transport, on
 /// fuzzed scenarios, with the toggle itself randomized per family member so
 /// both recorder paths keep getting exercised across the whole matrix.
 #[test]
@@ -344,7 +260,7 @@ fn obs_recording_is_invisible_to_results_across_transports() {
         // Deterministically alternate the toggle across the family members
         // (per_tenant, steal at each thread cap), seeded by the case index.
         let draws = Cell::new(0u64);
-        assert_zero_staleness_family_matches(
+        assert_transport_family_matches(
             &bsp,
             &scenario,
             |transport| {
@@ -363,10 +279,7 @@ fn obs_recording_is_invisible_to_results_across_transports() {
     let mut scenario = standard_fleet(48, 1, 11);
     scenario.tick = SimDuration::from_secs(900.0);
     let repo = SharedRepoConfig::default();
-    let steal = TransportConfig::WorkStealing {
-        threads: 2,
-        staleness: 0,
-    };
+    let steal = TransportConfig::WorkStealing { threads: 2 };
     let (off, _) = run_with_obs(&scenario, &repo, steal, false);
     let (on, recorder) = run_with_obs(&scenario, &repo, steal, true);
     assert_reports_bit_match(&off, &on, "obs on a batching steal pool");
@@ -375,7 +288,7 @@ fn obs_recording_is_invisible_to_results_across_transports() {
         .expect("enabled recorder")
         .report_batches
         .get();
-    let reports = on.transport.view_staleness.total();
+    let reports: u64 = on.tenants.iter().map(|t| t.active_epochs as u64).sum();
     assert!(
         batches > 0 && batches < reports,
         "{batches} batches carried {reports} reports"

@@ -6,10 +6,9 @@
 //! deterministic epoch replay, committer failover that re-assembles
 //! un-committed batches from re-sent reports, and shard-loss warm re-seeds.
 //! The promise mirrors the differential fuzzer's: **recovery is invisible**.
-//! At `staleness = 0`, a run under *any* injected fault schedule converges
-//! bit-identical to the fault-free BSP barrier — down to the shared
-//! repository's eviction counts — and for `K > 0` the staleness bound and
-//! liveness still hold.
+//! A run under *any* injected fault schedule converges bit-identical to the
+//! fault-free BSP barrier — down to the shared repository's eviction
+//! counts.
 //!
 //! Every test here is seeded and deterministic (the shared `cases` harness
 //! from `tests/common`); `DEJAVU_PROPTEST_CASES` raises the case count —
@@ -18,7 +17,7 @@
 //!
 //! Invariants pinned, per fuzzed scenario:
 //!
-//! * **K = 0 convergence under faults.** For ≥ 64 distinct seeded schedules
+//! * **Convergence under faults.** For ≥ 64 distinct seeded schedules
 //!   (every fault kind alone, all kinds together, and a crash/restart/loss
 //!   mix — across cases and both pool shapes), the faulty run
 //!   bit-matches the fault-free barrier: per-tenant results, the hit-rate
@@ -27,9 +26,6 @@
 //! * **The fault summary tells the truth.** Injection tallies are consistent
 //!   with the per-kind breakdown, enabled-kind subsets only inject their
 //!   kinds, and the all-kinds schedules actually fire (non-vacuous).
-//! * **Staleness and liveness for K > 0.** Faulty runs never exceed the
-//!   staleness bound, complete every epoch, and keep the schedule-determined
-//!   fields bit-identical to the barrier.
 //! * **Checkpoint profiling is invisible too.** `checkpoint_every > 0`
 //!   without any fault spec records deltas and compactions but changes no
 //!   result bit.
@@ -93,10 +89,7 @@ fn fault_specs(case: u64) -> Vec<FaultSpec> {
 /// The two pool shapes every schedule is driven through: one worker per
 /// tenant (nobody ever waits for a worker) and a pool of two.
 fn async_transports(tenants: usize) -> [TransportConfig; 2] {
-    [tenants, 2].map(|threads| TransportConfig::WorkStealing {
-        threads,
-        staleness: 0,
-    })
+    [tenants, 2].map(|threads| TransportConfig::WorkStealing { threads })
 }
 
 /// Checks the summary's internal consistency: the injected total covers the
@@ -137,7 +130,7 @@ fn assert_summary_consistent(report: &FleetReport, spec: FaultSpec, label: &str)
     );
 }
 
-/// Every `K = 0` run under every injected fault schedule converges
+/// Every run under every injected fault schedule converges
 /// bit-identical to the fault-free BSP barrier — the tentpole invariant.
 /// 4 cases × 8 schedules × 2 transports = 64 distinct schedule runs at the
 /// default case count.
@@ -263,65 +256,6 @@ fn long_churn_runs_keep_delta_chains_bounded() {
             f.chain_peak
         );
     }
-}
-
-/// For `K > 0`, faulty runs still honor the staleness bound, still finish
-/// every epoch (liveness — held-back reports are force-released rather than
-/// deadlocking the committer), and keep every schedule-determined field
-/// bit-identical to the barrier.
-#[test]
-fn k_positive_fault_runs_hold_staleness_and_liveness_bounds() {
-    cases(3, |rng, case| {
-        let scenario = fuzz_scenario(rng, case);
-        let repo = fuzz_repo(rng);
-        let k = 1 + rng.uniform_usize(3);
-        let bsp = FleetEngine::new(
-            scenario.clone(),
-            FleetConfig {
-                repo: repo.clone(),
-                ..Default::default()
-            },
-        )
-        .run();
-        let spec = FaultSpec::all(D_SEED ^ (case << 24));
-        for transport in [
-            TransportConfig::WorkStealing {
-                threads: scenario.tenants.len(),
-                staleness: k,
-            },
-            TransportConfig::WorkStealing {
-                threads: 3,
-                staleness: k,
-            },
-        ] {
-            let label = format!("case {case} k={k} {transport:?}");
-            let report = run_faulty(&scenario, &repo, transport, Some(spec), 4, None);
-            assert!(
-                report.transport.view_staleness.max() <= k,
-                "{label}: view staleness {} exceeded the bound",
-                report.transport.view_staleness.max()
-            );
-            assert!(
-                report.transport.reuse_staleness.max() <= k,
-                "{label}: reuse staleness {} exceeded the bound",
-                report.transport.reuse_staleness.max()
-            );
-            // Liveness + schedule determinism: the faulty run completed the
-            // whole horizon with every tenant stepping its full window.
-            assert_eq!(report.epochs, bsp.epochs, "{label}: horizon");
-            assert_eq!(
-                report.hit_rate_curve.len(),
-                bsp.epochs,
-                "{label}: curve length"
-            );
-            for (x, y) in bsp.tenants.iter().zip(&report.tenants) {
-                assert_eq!(x.joined_epoch, y.joined_epoch, "{label} {}", x.name);
-                assert_eq!(x.active_epochs, y.active_epochs, "{label} {}", x.name);
-                assert_eq!(y.failed_epoch, None, "{label} {}", x.name);
-            }
-            assert_summary_consistent(&report, spec, &label);
-        }
-    });
 }
 
 /// The flight recorder stays invisible under fault injection: an obs-on
