@@ -2,7 +2,6 @@
 
 use crate::error::CloudError;
 use crate::instance::InstanceType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A resource allocation: how many instances of which type serve the workload.
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert!((a.hourly_cost() - 4.0 * 0.34).abs() < 1e-12);
 /// # Ok::<(), dejavu_cloud::CloudError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceAllocation {
     instance_type: InstanceType,
     count: u32,
@@ -80,7 +79,7 @@ impl fmt::Display for ResourceAllocation {
 /// The discrete set of allocations a deployment may choose from, ordered from
 /// cheapest to most expensive. The paper's two provisioning schemes map to the
 /// two constructors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocationSpace {
     candidates: Vec<ResourceAllocation>,
 }

@@ -11,11 +11,10 @@
 use crate::allocation::ResourceAllocation;
 use dejavu_simcore::{SimDuration, SimTime};
 use dejavu_traces::Workload;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What the controller can see at an observation point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// Current simulated time.
     pub time: SimTime,
@@ -38,7 +37,7 @@ pub struct Observation {
 }
 
 /// Why a controller made a decision; rendered in reports and adaptation logs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecisionReason {
     /// No change required.
     NoChange,
@@ -81,7 +80,7 @@ impl fmt::Display for DecisionReason {
 }
 
 /// The outcome of one controller invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControllerDecision {
     /// The allocation to deploy, or `None` to keep the current one.
     pub target: Option<ResourceAllocation>,
@@ -122,7 +121,7 @@ impl ControllerDecision {
 }
 
 /// A reconfiguration that actually happened, for reporting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptationEvent {
     /// When the controller started reacting (the observation time).
     pub started_at: SimTime,

@@ -2,7 +2,6 @@
 
 use crate::allocation::ResourceAllocation;
 use dejavu_simcore::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Accumulates deployment cost as allocations change over simulated time.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let cost = m.total_cost(SimTime::from_hours(2.0));
 /// assert!((cost - (2.0 * 0.34 + 4.0 * 0.34)).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CostMeter {
     /// (time_secs, allocation) change points, in time order.
     changes: Vec<(f64, ResourceAllocation)>,

@@ -1,7 +1,6 @@
 //! EC2-style instance types and VM lifecycle.
 
 use dejavu_simcore::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The instance types used in the paper's evaluation (July 2011 EC2 pricing).
@@ -10,7 +9,7 @@ use std::fmt;
 /// instances; scale-up experiments switch between
 /// [`Large`](InstanceType::Large) and [`ExtraLarge`](InstanceType::ExtraLarge)
 /// at a fixed instance count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum InstanceType {
     /// EC2 m1.large-class instance.
     Large,
@@ -59,7 +58,7 @@ impl fmt::Display for InstanceType {
 }
 
 /// Lifecycle state of a VM instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VmState {
     /// Pre-created but not running (the paper pre-creates and stops instances).
     Stopped,
@@ -78,7 +77,7 @@ pub enum VmState {
 }
 
 /// A single VM instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmInstance {
     /// Identifier unique within the platform.
     pub id: u32,

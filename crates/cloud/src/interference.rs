@@ -6,10 +6,9 @@
 //! unavailable to the service.
 
 use dejavu_simcore::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The fraction of VM capacity stolen by co-located tenants, in `[0, 0.9]`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct InterferenceLevel(f64);
 
 impl InterferenceLevel {
@@ -52,7 +51,7 @@ impl Default for InterferenceLevel {
 }
 
 /// A schedule of interference levels over simulated time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterferenceSchedule {
     /// `(start_secs, level)` steps in time order; the level holds until the next step.
     steps: Vec<(f64, InterferenceLevel)>,

@@ -6,10 +6,9 @@ use crate::cost::CostMeter;
 use crate::error::CloudError;
 use crate::interference::{InterferenceLevel, InterferenceSchedule};
 use dejavu_simcore::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Platform configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformConfig {
     /// Delay before pre-created instances become available after a scale-out /
     /// scale-up request (the paper pre-creates stopped VMs, so this is short).
@@ -30,7 +29,7 @@ impl Default for PlatformConfig {
 }
 
 /// A pending reconfiguration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PendingChange {
     target: ResourceAllocation,
     effective_at: SimTime,
@@ -58,7 +57,7 @@ struct PendingChange {
 /// assert_eq!(platform.allocation_at(SimTime::from_secs(120.0)).count(), 4);
 /// # Ok::<(), dejavu_cloud::CloudError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudPlatform {
     config: PlatformConfig,
     space: AllocationSpace,

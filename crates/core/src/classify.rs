@@ -12,10 +12,9 @@ use crate::clustering::ClusteringOutcome;
 use crate::error::DejaVuError;
 use dejavu_metrics::WorkloadSignature;
 use dejavu_ml::{Classifier, Dataset, DecisionTree, DecisionTreeConfig, NaiveBayes};
-use serde::{Deserialize, Serialize};
 
 /// Which classifier family to train.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClassifierKind {
     /// C4.5-style decision tree (the paper's J48 choice).
     DecisionTree,
@@ -26,7 +25,7 @@ pub enum ClassifierKind {
 }
 
 /// The trained model variants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Model {
     Tree(DecisionTree),
     Bayes(NaiveBayes),
@@ -34,7 +33,7 @@ enum Model {
 }
 
 /// The result of classifying one signature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Classification {
     /// The workload class the signature was assigned to.
     pub class: usize,
@@ -48,7 +47,7 @@ pub struct Classification {
 }
 
 /// The online classifier built from a clustering outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineClassifier {
     model: Model,
     clustering: ClusteringOutcome,

@@ -4,7 +4,6 @@
 use crate::error::DejaVuError;
 use dejavu_metrics::WorkloadSignature;
 use dejavu_ml::{Dataset, KMeans, KMeansConfig};
-use serde::{Deserialize, Serialize};
 
 /// Widest signature [`ClusteringOutcome::assign`] normalizes on the stack.
 /// Signatures carry one value per selected metric — a dozen or so in
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 const ASSIGN_STACK_DIMS: usize = 64;
 
 /// The result of clustering the learning-phase signatures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusteringOutcome {
     /// The fitted k-means model over *normalized* signature vectors.
     pub kmeans: KMeans,
@@ -80,7 +79,7 @@ impl ClusteringOutcome {
 }
 
 /// Clusters learning-phase signatures into workload classes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadClusterer {
     /// Range of cluster counts to explore (automatic k selection).
     pub cluster_range: (usize, usize),

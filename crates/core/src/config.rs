@@ -2,12 +2,11 @@
 
 use crate::classify::ClassifierKind;
 use dejavu_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the DejaVu framework.
 ///
 /// Use [`DejaVuConfig::builder`] to customize only the knobs you care about.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DejaVuConfig {
     /// Length of the initial learning phase in hours (the paper uses the first
     /// day of each trace).

@@ -20,10 +20,9 @@ use dejavu_proxy::{Profiler, ProfilerConfig};
 use dejavu_services::{PerfSample, ServiceModel};
 use dejavu_simcore::{SimRng, SimTime};
 use dejavu_traces::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Which phase the controller is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DejaVuPhase {
     /// Initial profiling/tuning phase (the first day of the trace).
     Learning,
@@ -32,7 +31,7 @@ pub enum DejaVuPhase {
 }
 
 /// Counters and measurements the experiments report.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DejaVuStats {
     /// Signatures collected by the profiler.
     pub signatures_collected: usize,

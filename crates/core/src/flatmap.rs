@@ -8,11 +8,9 @@
 //! shift the tail. Iteration order is key order, exactly like the `BTreeMap`
 //! it replaces, so report output and commit sequences stay byte-identical.
 
-use serde::{Deserialize, Serialize};
-
 /// A sorted-vector map. Keys must be `Ord + Copy`; values move in and out by
 /// value, matching how the repositories use it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatMap<K, V> {
     entries: Vec<(K, V)>,
 }

@@ -8,10 +8,9 @@
 
 use crate::repository::RepositoryKey;
 use dejavu_services::{PerfSample, Slo};
-use serde::{Deserialize, Serialize};
 
 /// An interference-index bucket (0 = no detectable interference).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InterferenceBucket(pub u32);
 
 impl InterferenceBucket {
@@ -42,7 +41,7 @@ impl InterferenceBucket {
 }
 
 /// Estimates interference indices and the implied capacity loss.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterferenceEstimator {
     /// Width of one index bucket.
     pub bucket_width: f64,

@@ -10,12 +10,11 @@ use crate::flatmap::FlatMap;
 use dejavu_cloud::ResourceAllocation;
 use dejavu_metrics::WorkloadSignature;
 use dejavu_simcore::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Repository key: workload class × interference bucket.
 ///
 /// Bucket 0 means "no interference beyond what tuning saw".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RepositoryKey {
     /// Workload class (cluster id).
     pub class: usize,
@@ -42,7 +41,7 @@ impl RepositoryKey {
 }
 
 /// One cached allocation decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepositoryEntry {
     /// The preferred allocation for this key.
     pub allocation: ResourceAllocation,
@@ -53,7 +52,7 @@ pub struct RepositoryEntry {
 }
 
 /// Hit/miss statistics of the repository.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepositoryStats {
     /// Lookups that found an entry.
     pub hits: u64,
@@ -216,7 +215,7 @@ impl AllocationStore for SignatureRepository {
 /// assert_eq!(repo.stats().hits, 1);
 /// assert_eq!(repo.stats().misses, 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SignatureRepository {
     entries: FlatMap<RepositoryKey, RepositoryEntry>,
     stats: RepositoryStats,

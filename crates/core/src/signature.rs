@@ -9,10 +9,9 @@
 
 use dejavu_metrics::WorkloadSignature;
 use dejavu_ml::{CfsSelector, Dataset, FeatureSelection, MlError};
-use serde::{Deserialize, Serialize};
 
 /// Selects and applies the signature-forming metric subset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignatureBuilder {
     selection: FeatureSelection,
     /// The selected metric names, shared with every projected signature so

@@ -12,10 +12,9 @@ use dejavu_services::service::EvalContext;
 use dejavu_services::ServiceModel;
 use dejavu_simcore::{SimDuration, SimTime};
 use dejavu_traces::Workload;
-use serde::{Deserialize, Serialize};
 
 /// The result of one tuning run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningOutcome {
     /// The chosen allocation (the cheapest candidate meeting the SLO, or full
     /// capacity if none does).
@@ -44,7 +43,7 @@ pub trait Tuner {
 
 /// Linear search from the cheapest allocation upwards, replaying the workload
 /// against each candidate in a sandbox.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearSearchTuner {
     /// How long each sandboxed experiment takes (the paper cites ≈ 3 minutes
     /// of total adaptation for state-of-the-art experiment-based tuning).

@@ -11,11 +11,10 @@
 //!
 //! # Format
 //!
-//! The format is a line-oriented text format, chosen over the vendored serde
-//! stubs because it must round-trip `f64`s bit-exactly and emit byte-identical
-//! output for identical repositories (floats are written as 16-digit hex IEEE
-//! bit patterns, `fb<bits>`). The first line carries the format version and is
-//! checked on load:
+//! The format is a line-oriented text format. It round-trips `f64`s
+//! bit-exactly and emits byte-identical output for identical repositories
+//! (floats are written as 16-digit hex IEEE bit patterns, `fb<bits>`). The
+//! first line carries the format version and is checked on load:
 //!
 //! ```text
 //! dejavu-fleet-snapshot v1
@@ -45,7 +44,6 @@
 
 use crate::shared_repo::ShardStats;
 use dejavu_cloud::{InstanceType, ResourceAllocation};
-use serde::{Deserialize, Serialize};
 
 /// The version string written to (and required of) every snapshot.
 pub const SNAPSHOT_VERSION: &str = "dejavu-fleet-snapshot v1";
@@ -79,22 +77,6 @@ pub(crate) fn check_shard_count(shards: usize) -> Result<(), SnapshotError> {
         })
     }
 }
-
-// The snapshot types stay serde-shaped so the planned swap to the real serde
-// (ROADMAP: `vendor/*` are hermetic stand-ins) is a manifest-only change:
-// these bounds fail to compile if anyone drops the derives — which is also
-// what requires the vendored derive macros to emit real marker impls.
-const _: () = {
-    fn serde_shaped<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-    #[allow(dead_code)]
-    fn assert_snapshot_types_are_serde_shaped() {
-        serde_shaped::<RepoSnapshot>();
-        serde_shaped::<NamespaceSnapshot>();
-        serde_shaped::<AnchorSnapshot>();
-        serde_shaped::<EntrySnapshot>();
-        serde_shaped::<DeltaSnapshot>();
-    }
-};
 
 /// Why a snapshot failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,7 +167,7 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// One anchor of a namespace: its id and full-precision centroid values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnchorSnapshot {
     /// The anchor id (dense: ids cover `0..count`).
     pub id: u32,
@@ -194,7 +176,7 @@ pub struct AnchorSnapshot {
 }
 
 /// One stored entry of a namespace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntrySnapshot {
     /// The anchor the entry is keyed under.
     pub anchor: u32,
@@ -215,7 +197,7 @@ pub struct EntrySnapshot {
 }
 
 /// One namespace: anchors in id order plus entries in key order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NamespaceSnapshot {
     /// The namespace id.
     pub id: u64,
@@ -231,7 +213,7 @@ pub struct NamespaceSnapshot {
 /// back into a repository by
 /// [`crate::SharedSignatureRepository::from_snapshot`]; [`encode`] and
 /// [`decode`] convert it to and from the persistent text form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepoSnapshot {
     /// Number of lock-striped shards.
     pub shards: usize,
@@ -258,7 +240,7 @@ pub struct RepoSnapshot {
 /// is a wholesale swap — no merge logic, no deletion records, and bit-exact
 /// by construction. The shard's statistics counters travel with it because
 /// they advance on every commit and sweep of the shard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaSnapshot {
     /// The shard the delta belongs to.
     pub shard: usize,

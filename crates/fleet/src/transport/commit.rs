@@ -3,11 +3,11 @@
 //! complete `(shard, epoch)` report sets into commits and hands released
 //! tenants back to the pool.
 
-use super::pool::Doorbell;
+use super::channel;
+use super::pool::{Doorbell, TaskQueue};
 use super::recovery::{FaultDomain, FaultyInbox};
 use super::{commit_epoch, hit_rate, FleetContext, TransportOutcome};
 use crate::shared_repo::PendingOp;
-use crossbeam_deque::Injector;
 use dejavu_obs::{Event, Recorder};
 use std::sync::Mutex;
 
@@ -157,7 +157,7 @@ pub(super) type ReportBatch = Vec<EpochReport>;
 /// batch being unpacked), or the fault-injecting wrapper.
 enum Inbox<'a> {
     Plain {
-        rx: &'a crossbeam_channel::Receiver<ReportBatch>,
+        rx: &'a channel::Receiver<ReportBatch>,
         unpacking: std::vec::IntoIter<EpochReport>,
     },
     Faulty(FaultyInbox<'a>),
@@ -167,7 +167,7 @@ impl<'a> Inbox<'a> {
     /// The inbox of one drive: fault-injecting when the domain's plan is
     /// live, the raw channel otherwise.
     fn new(
-        rx: &'a crossbeam_channel::Receiver<ReportBatch>,
+        rx: &'a channel::Receiver<ReportBatch>,
         domain: Option<&'a FaultDomain<'_>>,
         recorder: &'a Recorder,
     ) -> Self {
@@ -190,7 +190,7 @@ impl<'a> Inbox<'a> {
                     return Some(report);
                 }
                 let batch = if block {
-                    rx.recv().ok()?
+                    rx.recv()?
                 } else {
                     rx.try_recv().ok()?
                 };
@@ -234,7 +234,7 @@ pub(super) struct Committer<'a, 'h> {
     tenant_shard: &'a [usize],
     frontiers: &'a ShardFrontiers,
     /// The pool's shared task queue and wake-up, for released tenants.
-    injector: &'a Injector<usize>,
+    queue: &'a TaskQueue,
     doorbell: &'a Doorbell,
     domain: Option<&'a FaultDomain<'h>>,
     epochs: usize,
@@ -286,7 +286,7 @@ impl<'a, 'h> Committer<'a, 'h> {
         windows: &'a [(usize, usize)],
         tenant_shard: &'a [usize],
         frontiers: &'a ShardFrontiers,
-        injector: &'a Injector<usize>,
+        queue: &'a TaskQueue,
         doorbell: &'a Doorbell,
         domain: Option<&'a FaultDomain<'h>>,
     ) -> Self {
@@ -303,7 +303,7 @@ impl<'a, 'h> Committer<'a, 'h> {
             windows,
             tenant_shard,
             frontiers,
-            injector,
+            queue,
             doorbell,
             domain,
             epochs,
@@ -327,11 +327,7 @@ impl<'a, 'h> Committer<'a, 'h> {
         }
     }
 
-    pub(super) fn run(
-        mut self,
-        rx: &crossbeam_channel::Receiver<ReportBatch>,
-        out: &mut TransportOutcome,
-    ) {
+    pub(super) fn run(mut self, rx: &channel::Receiver<ReportBatch>, out: &mut TransportOutcome) {
         let mut inbox = Inbox::new(rx, self.domain, self.ctx.recorder());
         let recorder = self.ctx.recorder();
         // Fold-to-fold wall time per fleet-wide epoch (the async analogue of
@@ -507,7 +503,7 @@ impl<'a, 'h> Committer<'a, 'h> {
                 // have nothing to find — don't wake them.
                 if !released.is_empty() {
                     for tenant in released {
-                        self.injector.push(tenant);
+                        self.queue.push(tenant);
                     }
                     self.doorbell.ring();
                 }
@@ -621,7 +617,7 @@ mod tests {
         recorder: Recorder,
         windows: [(usize, usize); 2],
         frontiers: ShardFrontiers,
-        injector: Injector<usize>,
+        queue: TaskQueue,
         doorbell: Doorbell,
     }
 
@@ -635,7 +631,7 @@ mod tests {
                 recorder: Recorder::disabled(),
                 windows: [(0, epochs); 2],
                 frontiers: ShardFrontiers::new(1),
-                injector: Injector::new(),
+                queue: TaskQueue::new(1),
                 doorbell: Doorbell::default(),
             }
         }
@@ -662,7 +658,7 @@ mod tests {
                 &self.windows,
                 &[0, 0],
                 &self.frontiers,
-                &self.injector,
+                &self.queue,
                 &self.doorbell,
                 None,
             )
@@ -677,7 +673,7 @@ mod tests {
         // three epochs.
         let fleet = TwoTenants::new(3);
         let ctx = fleet.context();
-        let (tx, rx) = crossbeam_channel::unbounded::<ReportBatch>();
+        let (tx, rx) = channel::channel::<ReportBatch>();
         let abort = EpochReport {
             aborted: true,
             ..EpochReport::bare(1, 2, true)
@@ -721,8 +717,7 @@ mod tests {
         committer.admit(EpochReport::bare(1, 0, false), &mut out);
         committer.commit_ready(&mut out);
         assert_eq!(fleet.doorbell.generation(), quiet + 1);
-        let mut released: Vec<usize> =
-            std::iter::from_fn(|| fleet.injector.steal().success()).collect();
+        let mut released: Vec<usize> = std::iter::from_fn(|| fleet.queue.steal(0)).collect();
         released.sort_unstable();
         assert_eq!(released, vec![0, 1]);
 
@@ -731,7 +726,7 @@ mod tests {
         committer.admit(EpochReport::bare(1, 1, true), &mut out);
         committer.commit_ready(&mut out);
         assert_eq!(committer.shard_next, vec![2]);
-        assert!(fleet.injector.is_empty());
+        assert_eq!(fleet.queue.steal(0), None);
         assert_eq!(fleet.doorbell.generation(), quiet + 1);
     }
 }

@@ -11,8 +11,8 @@
 //!   sweep. Mid-epoch the store is frozen, so runs are **bit-deterministic**
 //!   for any worker count. It is the oracle every other run is compared to.
 //! * [`WorkStealing`] is the asynchronous transport: a pool of workers pulls
-//!   per-epoch tenant tasks from a shared deque (the vendored mini
-//!   `crossbeam-deque`), and each tenant waits on the commit frontier **of
+//!   per-epoch tenant tasks from a shared task queue (an injector plus
+//!   per-worker deques), and each tenant waits on the commit frontier **of
 //!   its own shard** only, so a tenant never waits for a shard it cannot
 //!   observe. A tenant may not enter an epoch until every prior epoch of its
 //!   shard is fully committed (one that is early is parked as data until its
@@ -35,18 +35,19 @@
 //! skewed scenarios that shrinks commit latency without changing anything a
 //! tenant can observe.
 //!
-//! Epoch reports travel over the vendored mini mpsc channel
-//! (`crossbeam-channel`) in **batches**: a pool worker sends what it finished
-//! since its last message when its deque runs dry, and the committer unpacks
-//! a batch report by report. Commit order depends on report contents and
-//! tenant order, never on arrival order, so the grouping is invisible in the
-//! results.
+//! Epoch reports travel over a private mutex-and-condvar channel in
+//! **batches**: a pool worker sends what it finished since its last message
+//! when its deque runs dry, and the committer unpacks a batch report by
+//! report. Commit order depends on report contents and tenant order, never
+//! on arrival order, so the grouping is invisible in the results.
 //!
 //! The asynchronous side is split along its seams: `commit` holds the
-//! frontiers, the report types and the committer; `pool` the scheduler
-//! (doorbell, tenant tasks, workers); `recovery` the fault/checkpoint domain
-//! the other two call into when one is configured.
+//! frontiers, the report types and the committer; `channel` carries the
+//! reports; `pool` the scheduler (task queue, doorbell, tenant tasks,
+//! workers); `recovery` the fault/checkpoint domain the other two call into
+//! when one is configured.
 
+mod channel;
 mod commit;
 mod pool;
 mod recovery;

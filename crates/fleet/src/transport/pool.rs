@@ -1,16 +1,74 @@
-//! The scheduling half of the asynchronous transport: the doorbell idle
-//! workers sleep on, per-tenant tasks, the worker loop with its batched
-//! report sends, and the [`WorkStealing`] backend that wires workers and
-//! committer together.
+//! The scheduling half of the asynchronous transport: the task queue and
+//! the doorbell idle workers sleep on, per-tenant tasks, the worker loop
+//! with its batched report sends, and the [`WorkStealing`] backend that
+//! wires workers and committer together.
 
+use super::channel;
 use super::commit::{Committer, EpochReport, PoisonOnDrop, ReportBatch, ShardFrontiers};
 use super::recovery::{crash_and_recover, fault_domain, summarize_faults, FaultDomain};
 use super::{CommitTransport, FleetContext, FleetHarness, TenantHandle, TransportOutcome};
-use crossbeam_deque::{Injector, Stealer, Worker};
 use dejavu_obs::{Event, Recorder};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
+
+/// The pool's queue of runnable tenants: a FIFO injector the committer
+/// pushes released tenants onto, plus one deque per worker. A worker pops
+/// its own deque's newest task; once that deque is dry it takes the
+/// injector's oldest task and moves a batch behind it into its own deque,
+/// or else takes the oldest task of the first non-empty deque in worker
+/// order. One mutex per queue is plenty: a task is a tenant-epoch worth
+/// milliseconds of simulation.
+pub(super) struct TaskQueue {
+    injector: Mutex<VecDeque<usize>>,
+    locals: Vec<Mutex<VecDeque<usize>>>,
+}
+
+impl TaskQueue {
+    pub(super) fn new(workers: usize) -> Self {
+        TaskQueue {
+            injector: Mutex::default(),
+            locals: (0..workers).map(|_| Mutex::default()).collect(),
+        }
+    }
+
+    /// Queues `tenant` at the back of the injector.
+    pub(super) fn push(&self, tenant: usize) {
+        self.injector
+            .lock()
+            .expect("task injector poisoned")
+            .push_back(tenant);
+    }
+
+    /// The newest task on `worker`'s own deque.
+    fn pop(&self, worker: usize) -> Option<usize> {
+        self.locals[worker]
+            .lock()
+            .expect("worker deque poisoned")
+            .pop_back()
+    }
+
+    /// A task from beyond `worker`'s own deque: the injector's oldest, with
+    /// half of the rest (rounded up, at most 16) moved into `worker`'s
+    /// deque; failing that, the oldest task of the first non-empty deque.
+    pub(super) fn steal(&self, worker: usize) -> Option<usize> {
+        {
+            let mut injector = self.injector.lock().expect("task injector poisoned");
+            if let Some(task) = injector.pop_front() {
+                let batch = injector.len().div_ceil(2).min(16);
+                self.locals[worker]
+                    .lock()
+                    .expect("worker deque poisoned")
+                    .extend(injector.drain(..batch));
+                return Some(task);
+            }
+        }
+        self.locals
+            .iter()
+            .find_map(|local| local.lock().expect("worker deque poisoned").pop_front())
+    }
+}
 
 /// Wakes idle pool workers when tasks may have (re)appeared. A worker reads
 /// the generation **before** scanning the queues and only sleeps if the
@@ -60,7 +118,7 @@ impl Doorbell {
 /// never overtakes a report of its own tenant: the committer just stops
 /// expecting that tenant from the abort epoch on.
 struct AbortOnDrop<'a> {
-    tx: &'a crossbeam_channel::Sender<ReportBatch>,
+    tx: &'a channel::Sender<ReportBatch>,
     tenant: usize,
     /// The epoch the tenant was in when it unwound — the committer stops
     /// expecting reports from this epoch onwards.
@@ -112,7 +170,7 @@ pub(crate) const REPORT_BATCH_CAP: usize = 32;
 /// it looks beyond its own deque, before every sleep and before it exits, so
 /// a report is never withheld by a worker that has stopped producing them.
 struct ReportBuffer<'a> {
-    tx: &'a crossbeam_channel::Sender<ReportBatch>,
+    tx: &'a channel::Sender<ReportBatch>,
     recorder: &'a Recorder,
     held: ReportBatch,
 }
@@ -143,8 +201,7 @@ struct StealPool<'a, 'h> {
     ctx: &'a FleetContext<'h>,
     frontiers: &'a ShardFrontiers,
     doorbell: &'a Doorbell,
-    injector: &'a Injector<usize>,
-    stealers: &'a [Stealer<usize>],
+    queue: &'a TaskQueue,
     slots: &'a [Mutex<Option<TenantTask<'h>>>],
     windows: &'a [(usize, usize)],
     tenant_shard: &'a [usize],
@@ -157,16 +214,12 @@ struct StealPool<'a, 'h> {
 
 impl<'h> StealPool<'_, 'h> {
     /// One worker's scheduling loop: pop the local deque, then steal from
-    /// the shared injector (batch) or a peer's deque; run the claimed
-    /// tenant for as long as its frontier admits it; sleep on the doorbell
-    /// only when every queue was observed empty at an unchanged doorbell
-    /// generation. Finished reports leave in batches (see [`ReportBuffer`]).
-    fn run_worker(
-        &self,
-        worker: usize,
-        local: &Worker<usize>,
-        tx: &crossbeam_channel::Sender<ReportBatch>,
-    ) {
+    /// the shared injector (batch) or a peer's deque (see [`TaskQueue`]);
+    /// run the claimed tenant for as long as its frontier admits it; sleep
+    /// on the doorbell only when every queue was observed empty at an
+    /// unchanged doorbell generation. Finished reports leave in batches
+    /// (see [`ReportBuffer`]).
+    fn run_worker(&self, worker: usize, tx: &channel::Sender<ReportBatch>) {
         let recorder = self.ctx.recorder();
         let mut outbound = ReportBuffer {
             tx,
@@ -185,16 +238,13 @@ impl<'h> StealPool<'_, 'h> {
             // A task that did not come off the local deque was stolen — from
             // the shared injector or a peer's cold end.
             let mut stolen = false;
-            let task = local.pop().or_else(|| {
+            let task = self.queue.pop(worker).or_else(|| {
                 // The local deque ran dry: what this worker finished since
                 // its last flush goes out before it looks elsewhere — and so
                 // before it can find nothing and sleep or exit.
                 outbound.flush();
                 stolen = true;
-                self.injector
-                    .steal_batch_and_pop(local)
-                    .or_else(|| self.stealers.iter().map(|s| s.steal()).collect())
-                    .success()
+                self.queue.steal(worker)
             });
             match task {
                 Some(tenant) => {
@@ -340,12 +390,11 @@ impl<'h> StealPool<'_, 'h> {
 /// worker pool** with per-shard frontiers.
 ///
 /// [`threads`](Self::threads) workers pull per-epoch tenant tasks from a
-/// shared deque (the vendored mini `crossbeam-deque`: a global injector plus
-/// per-worker deques with stealers), so a 1000-tenant fleet runs on a
-/// handful of threads. A tenant enters an epoch only once **its shard** has
-/// committed every earlier epoch; until then it is **parked as data**
-/// (never blocking a pool worker) and re-injected by the committer when its
-/// shard catches up. The per-tenant-epoch path is kept free of wake-ups: a
+/// [`TaskQueue`] (a global injector plus per-worker deques that peers steal
+/// from), so a 1000-tenant fleet runs on a handful of threads. A tenant
+/// enters an epoch only once **its shard** has committed every earlier
+/// epoch; until then it is **parked as data** (never blocking a pool
+/// worker) and re-injected by the committer when its shard catches up. The per-tenant-epoch path is kept free of wake-ups: a
 /// worker asks the frontier for a tenant's next epoch right after stepping
 /// it (which parks the tenant where it sits) and sends its finished reports
 /// in batches (see [`ReportBuffer`]).
@@ -384,7 +433,7 @@ impl CommitTransport for WorkStealing {
         let frontiers = ShardFrontiers::new(ctx.shard_count());
         let domain = fault_domain(&ctx, &windows, &tenant_shard);
         let domain_ref = domain.as_ref();
-        let injector = Injector::new();
+        let queue = TaskQueue::new(threads);
         let doorbell = Doorbell::default();
         let mut active = 0usize;
         let slots: Vec<Mutex<Option<TenantTask<'_>>>> = handles
@@ -401,31 +450,28 @@ impl CommitTransport for WorkStealing {
                 });
                 if task.is_some() {
                     active += 1;
-                    injector.push(index);
+                    queue.push(index);
                 }
                 Mutex::new(task)
             })
             .collect();
         let remaining = AtomicUsize::new(active);
-        let (tx, rx) = crossbeam_channel::unbounded::<ReportBatch>();
-        let locals: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<usize>> = locals.iter().map(|w| w.stealer()).collect();
+        let (tx, rx) = channel::channel::<ReportBatch>();
         std::thread::scope(|scope| {
-            for (worker, local) in locals.into_iter().enumerate() {
+            for worker in 0..threads {
                 let tx = tx.clone();
                 let pool = StealPool {
                     ctx: &ctx,
                     frontiers: &frontiers,
                     doorbell: &doorbell,
-                    injector: &injector,
-                    stealers: &stealers,
+                    queue: &queue,
                     slots: &slots,
                     windows: &windows,
                     tenant_shard: &tenant_shard,
                     remaining: &remaining,
                     domain: domain_ref,
                 };
-                scope.spawn(move || pool.run_worker(worker, &local, &tx));
+                scope.spawn(move || pool.run_worker(worker, &tx));
             }
             drop(tx);
 
@@ -442,7 +488,7 @@ impl CommitTransport for WorkStealing {
                 &windows,
                 &tenant_shard,
                 &frontiers,
-                &injector,
+                &queue,
                 &doorbell,
                 domain_ref,
             )
@@ -459,6 +505,65 @@ impl CommitTransport for WorkStealing {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_worker_pops_its_newest_task_and_a_thief_takes_the_oldest() {
+        let queue = TaskQueue::new(2);
+        for tenant in 0..6 {
+            queue.push(tenant);
+        }
+        // Worker 0 takes the injector's oldest plus a batch of three.
+        assert_eq!(queue.steal(0), Some(0));
+        // Worker 1 drains the injector: one task plus a batch of one.
+        assert_eq!(queue.steal(1), Some(4));
+        assert_eq!(queue.pop(0), Some(3), "the owner takes its newest");
+        assert_eq!(queue.pop(1), Some(5));
+        assert_eq!(queue.pop(1), None);
+        assert_eq!(queue.steal(1), Some(1), "a thief takes the oldest");
+        assert_eq!(queue.pop(0), Some(2));
+        assert_eq!(queue.steal(0), None);
+    }
+
+    #[test]
+    fn an_injector_steal_moves_half_the_rest_capped_at_sixteen() {
+        for (queued, batch) in [(1, 0), (2, 1), (10, 5), (33, 16), (40, 16)] {
+            let queue = TaskQueue::new(2);
+            for tenant in 0..queued {
+                queue.push(tenant);
+            }
+            assert_eq!(queue.steal(0), Some(0));
+            let moved: Vec<usize> = std::iter::from_fn(|| queue.pop(0)).collect();
+            let expected: Vec<usize> = (1..=batch).rev().collect();
+            assert_eq!(moved, expected, "{queued} queued");
+            let left: Vec<usize> = std::iter::from_fn(|| queue.steal(1)).collect();
+            assert_eq!(left.len(), queued - 1 - batch, "{queued} queued");
+            assert!(left.iter().all(|&t| t > batch), "{queued} queued");
+        }
+    }
+
+    #[test]
+    fn concurrent_stealing_claims_every_task_once() {
+        let total = 1000usize;
+        let queue = TaskQueue::new(4);
+        for tenant in 0..total {
+            queue.push(tenant);
+        }
+        let claimed = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for worker in 0..4 {
+                let (queue, claimed) = (&queue, &claimed);
+                scope.spawn(move || {
+                    let mine: Vec<usize> =
+                        std::iter::from_fn(|| queue.pop(worker).or_else(|| queue.steal(worker)))
+                            .collect();
+                    claimed.lock().expect("claims").extend(mine);
+                });
+            }
+        });
+        let mut claimed = claimed.into_inner().expect("claims");
+        claimed.sort_unstable();
+        assert_eq!(claimed, (0..total).collect::<Vec<_>>());
+    }
 
     #[test]
     fn doorbell_never_misses_a_ring() {

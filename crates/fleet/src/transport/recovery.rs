@@ -4,6 +4,7 @@
 //! injection or checkpointing is configured; the committer and the pool call
 //! into it directly when it is.
 
+use super::channel;
 use super::commit::{EpochReport, ReportBatch};
 use super::{FaultSummary, FleetContext, RespawnFn, TenantHandle};
 use crate::durable::{DurableCheckpointStore, RecordReceipt};
@@ -129,7 +130,7 @@ impl FaultDomain<'_> {
     /// live (a checkpoint-only domain reads the raw channel).
     pub(super) fn faulty_inbox<'a>(
         &'a self,
-        rx: &'a crossbeam_channel::Receiver<ReportBatch>,
+        rx: &'a channel::Receiver<ReportBatch>,
         recorder: &'a Recorder,
     ) -> Option<FaultyInbox<'a>> {
         self.injector
@@ -328,7 +329,7 @@ enum Held {
 }
 
 /// The committer's faulty report channel: a deterministic message-loss layer
-/// between the mpsc receiver and the committer. Reports the injector marks
+/// between the report channel and the committer. Reports the injector marks
 /// as dropped or reordered are held back for a seeded number of subsequent
 /// deliveries (drops become retransmissions — the paper-world "resend on
 /// commit timeout" — so no information is ever truly lost); duplicated
@@ -337,7 +338,7 @@ enum Held {
 /// is unpacked report by report, each one a delivery of its own: countdowns
 /// age exactly as they would under one message per report.
 pub(super) struct FaultyInbox<'a> {
-    rx: &'a crossbeam_channel::Receiver<ReportBatch>,
+    rx: &'a channel::Receiver<ReportBatch>,
     injector: FaultInjector,
     tallies: &'a FaultTallies,
     recorder: &'a Recorder,
@@ -350,7 +351,7 @@ pub(super) struct FaultyInbox<'a> {
 
 impl<'a> FaultyInbox<'a> {
     fn new(
-        rx: &'a crossbeam_channel::Receiver<ReportBatch>,
+        rx: &'a channel::Receiver<ReportBatch>,
         injector: FaultInjector,
         tallies: &'a FaultTallies,
         recorder: &'a Recorder,
@@ -450,7 +451,7 @@ impl<'a> FaultyInbox<'a> {
     /// already been delivered: held reports keep their countdowns and the
     /// liveness valve stays shut, both being the blocking path's business.
     pub(super) fn next(&mut self, block: bool) -> Option<EpochReport> {
-        use crossbeam_channel::TryRecvError;
+        use super::channel::TryRecvError;
         loop {
             if let Some(report) = self.due.pop_front() {
                 return Some(report);
@@ -474,8 +475,8 @@ impl<'a> FaultyInbox<'a> {
                 Err(TryRecvError::Empty) => {
                     if self.delayed.is_empty() {
                         match self.rx.recv() {
-                            Ok(batch) => self.admit_batch(batch),
-                            Err(_) => self.disconnected = true,
+                            Some(batch) => self.admit_batch(batch),
+                            None => self.disconnected = true,
                         }
                     } else {
                         // Every tenant may be parked on a frontier that only
@@ -607,7 +608,7 @@ mod tests {
             })
             .expect("some seed drops exactly that report");
         let delivery_order = |messages: Vec<ReportBatch>| -> Vec<usize> {
-            let (tx, rx) = crossbeam_channel::unbounded::<ReportBatch>();
+            let (tx, rx) = channel::channel::<ReportBatch>();
             let tallies = FaultTallies::default();
             let recorder = Recorder::disabled();
             let mut inbox = FaultyInbox::new(&rx, injector, &tallies, &recorder);

@@ -6,12 +6,11 @@
 //! (the RUBiS signature); the rest are representative of the ~60 events a
 //! Xeon X5472-class profiling server exposes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether a metric comes from a hardware performance counter or from the
 /// hypervisor's per-VM accounting (`xentop`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// Hardware performance counter read around VM scheduling (Xenoprof-style).
     Hpc,
@@ -29,11 +28,11 @@ impl fmt::Display for MetricKind {
 }
 
 /// Identifier of a metric within the [`MetricCatalog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MetricId(pub usize);
 
 /// Static description of one metric.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricDescriptor {
     /// Identifier (index into the catalogue).
     pub id: MetricId,
@@ -55,7 +54,7 @@ pub struct MetricDescriptor {
 /// assert!(cat.len() > 20);
 /// assert!(cat.find("busq_empty").is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricCatalog {
     metrics: Vec<MetricDescriptor>,
 }

@@ -17,10 +17,9 @@
 
 use crate::counter::{MetricCatalog, MetricId, MetricKind};
 use dejavu_traces::{ServiceKind, Workload};
-use serde::{Deserialize, Serialize};
 
 /// The workload operating point a metric value is generated for.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadPoint {
     /// Which service is exercised.
     pub service: ServiceKind,
@@ -73,7 +72,7 @@ impl From<Workload> for WorkloadPoint {
 /// The response coefficients of one metric: expected rate =
 /// `base + per_intensity * intensity + per_read * read_fraction
 ///  + interaction * intensity * read_fraction`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricResponse {
     /// Rate at zero load.
     pub base: f64,
@@ -88,15 +87,13 @@ pub struct MetricResponse {
 }
 
 /// The generative metric model over a [`MetricCatalog`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricModel {
     catalog: MetricCatalog,
     /// Response coefficients precomputed per `(service, metric)`. `response`
     /// is a pure function of the catalogue, so this is a lookup table of the
     /// values `compute_response` derives — the samplers call it for every
-    /// metric of every profile, fleet-wide. Derived state: when the vendored
-    /// serde stub is swapped for the real crate, mark this `#[serde(skip)]`
-    /// and rebuild it on deserialize rather than trusting the wire.
+    /// metric of every profile, fleet-wide.
     responses: Vec<MetricResponse>,
 }
 

@@ -11,11 +11,10 @@ use crate::counter::MetricKind;
 use crate::model::{MetricModel, WorkloadPoint};
 use crate::signature::WorkloadSignature;
 use dejavu_simcore::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// Sampler configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplerConfig {
     /// Length of the profiling window.
     pub window: SimDuration,
@@ -56,7 +55,7 @@ impl Default for SamplerConfig {
 /// let sig = sampler.sample(&point, &mut rng);
 /// assert_eq!(sig.len(), sampler.model().catalog().len());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricSampler {
     /// Immutable once built, so samplers over the same model share it.
     model: Arc<MetricModel>,

@@ -2,7 +2,6 @@
 //! by the sampling duration (§3.3, equation (1) of the paper).
 
 use dejavu_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -33,7 +32,7 @@ use std::sync::Arc;
 /// // Same workload observed for twice as long: identical normalized signatures.
 /// assert!(a.distance(&b) < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSignature {
     /// Metric names, shared between signatures: every signature the sampler
     /// or a projection produces carries the same name list, so cloning a

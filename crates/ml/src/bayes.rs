@@ -7,10 +7,9 @@
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::Classifier;
-use serde::{Deserialize, Serialize};
 
 /// Per-class Gaussian model of each attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ClassModel {
     prior: f64,
     means: Vec<f64>,
@@ -35,7 +34,7 @@ struct ClassModel {
 /// assert_eq!(nb.predict(&[105.0]), 1);
 /// # Ok::<(), dejavu_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NaiveBayes {
     classes: Vec<ClassModel>,
     num_attributes: usize,

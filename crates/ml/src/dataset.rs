@@ -1,10 +1,9 @@
 //! Numeric datasets with named attributes and optional class labels.
 
 use crate::error::MlError;
-use serde::{Deserialize, Serialize};
 
 /// A single observation: a feature vector plus an optional class label.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// Feature values, one per dataset attribute.
     pub features: Vec<f64>,
@@ -43,7 +42,7 @@ impl Instance {
 /// assert_eq!(d.num_attributes(), 2);
 /// assert_eq!(d.num_classes(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     attribute_names: Vec<String>,
     instances: Vec<Instance>,

@@ -8,10 +8,9 @@
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::Classifier;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the tree induction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTreeConfig {
     /// Maximum depth of the tree (root has depth 0).
     pub max_depth: usize,
@@ -32,7 +31,7 @@ impl Default for DecisionTreeConfig {
 }
 
 /// Internal tree node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
         /// Class counts observed at this leaf during training.
@@ -64,7 +63,7 @@ enum Node {
 /// assert_eq!(tree.predict(&[17.0]), 1);
 /// # Ok::<(), dejavu_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     root: Node,
     num_classes: usize,

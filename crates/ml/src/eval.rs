@@ -3,7 +3,6 @@
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::Classifier;
-use serde::{Deserialize, Serialize};
 
 /// A confusion matrix for a multi-class classifier.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cm.total(), 3);
 /// assert!((cm.accuracy() - 2.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// counts[actual][predicted]
     counts: Vec<Vec<u64>>,
@@ -94,7 +93,7 @@ impl ConfusionMatrix {
 }
 
 /// Result of a cross-validation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossValidation {
     /// Accuracy per fold.
     pub fold_accuracies: Vec<f64>,

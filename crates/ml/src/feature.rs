@@ -11,10 +11,9 @@
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of a feature-selection run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureSelection {
     /// Indices of the selected attributes, in selection order.
     pub selected: Vec<usize>,
@@ -43,7 +42,7 @@ impl FeatureSelection {
 }
 
 /// Correlation-based feature selector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CfsSelector {
     /// Maximum number of features to select (the paper's signatures are short,
     /// bounded by the number of usable HPC registers).

@@ -6,10 +6,9 @@ use crate::dataset::{distance, squared_distance, Dataset};
 use crate::error::MlError;
 use crate::kernels;
 use dejavu_simcore::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for a single k-means fit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansConfig {
     /// Number of clusters.
     pub k: usize,
@@ -46,7 +45,7 @@ impl Default for KMeansConfig {
 /// assert_ne!(km.assign(&[0.0]), km.assign(&[100.0]));
 /// # Ok::<(), dejavu_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     centroids: CentroidSlab,
     inertia: f64,
@@ -58,7 +57,7 @@ pub struct KMeans {
 /// instead of `k` separate heap vectors: the nearest-centroid scan walks one
 /// cache-friendly allocation with no per-centroid pointer chase, and the
 /// chunked distance kernels stride through it directly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CentroidSlab {
     dims: usize,
     data: Vec<f64>,

@@ -2,10 +2,8 @@
 //! profiling environment, at client-session granularity, while adding only a
 //! small latency overhead to the production path.
 
-use serde::{Deserialize, Serialize};
-
 /// Proxy configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProxyConfig {
     /// Fraction of client sessions whose requests are duplicated to the
     /// profiler (the paper duplicates the traffic of one service instance,
@@ -30,7 +28,7 @@ impl Default for ProxyConfig {
 }
 
 /// Statistics accumulated by the proxy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DuplicatorStats {
     /// Requests forwarded to production.
     pub total_requests: u64,
@@ -69,7 +67,7 @@ impl DuplicatorStats {
 /// // Either the whole session is duplicated or none of it.
 /// assert!(duplicated == 0 || duplicated == 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestDuplicator {
     config: ProxyConfig,
     stats: DuplicatorStats,

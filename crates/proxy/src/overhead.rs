@@ -1,10 +1,8 @@
 //! Network and latency overhead accounting for the proxy (§4.4 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Network overhead of duplicating one service instance's inbound traffic to
 /// the profiling environment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkOverhead {
     /// Number of instances the service runs on.
     pub num_instances: u32,

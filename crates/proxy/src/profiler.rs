@@ -6,10 +6,9 @@ use dejavu_services::service::EvalContext;
 use dejavu_services::{PerfSample, ServiceModel};
 use dejavu_simcore::{SimDuration, SimRng, SimTime};
 use dejavu_traces::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Profiler configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfilerConfig {
     /// How the profiler samples metrics (window length, register count, …).
     pub sampler: SamplerConfig,
@@ -29,7 +28,7 @@ impl Default for ProfilerConfig {
 }
 
 /// What one profiling run produces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfilingReport {
     /// The collected workload signature (normalized by sampling time).
     pub signature: WorkloadSignature,
@@ -55,7 +54,7 @@ pub struct ProfilingReport {
 /// let report = profiler.profile(&workload, &mut rng);
 /// assert!(!report.signature.is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profiler {
     config: ProfilerConfig,
     sampler: MetricSampler,

@@ -23,37 +23,42 @@ OPTIONS:
     --listen ADDR          TCP listen address (default 127.0.0.1:7117)
     --unix PATH            serve on a Unix domain socket instead of TCP
     --shards N             shard count for a fresh repository (default 16;
-                           1..=65536, the bound snapshots are read under)
-    --max-sessions N       admission cap on concurrent sessions (default 64)
+                           1..=65536, the bound snapshots are read under;
+                           not with --snapshot-in, whose count wins)
+    --max-sessions N       admission cap on concurrent sessions (default 64;
+                           at least 1)
     --snapshot-in PATH     seed the repository from a snapshot file
     --checkpoint-dir PATH  durable checkpoints: every acknowledged mutation
                            is on disk before its response, and a restarted
                            daemon replays the directory at boot (resuming
                            the repository bit-exactly instead of resetting)
     --checkpoint-every N   on-disk delta-chain compaction cadence
-                           (default 64; 0 keeps every delta)
+                           (default 64; 0 keeps every delta; needs
+                           --checkpoint-dir)
     --help                 print this help
 ";
 
 struct Options {
     listen: String,
     unix: Option<String>,
-    shards: usize,
+    /// `None` when `--shards` was not given.
+    shards: Option<usize>,
     max_sessions: usize,
     snapshot_in: Option<String>,
     checkpoint_dir: Option<String>,
-    checkpoint_every: usize,
+    /// `None` when `--checkpoint-every` was not given.
+    checkpoint_every: Option<usize>,
 }
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         listen: "127.0.0.1:7117".to_string(),
         unix: None,
-        shards: 16,
+        shards: None,
         max_sessions: 64,
         snapshot_in: None,
         checkpoint_dir: None,
-        checkpoint_every: 64,
+        checkpoint_every: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -67,25 +72,38 @@ fn parse_args() -> Result<Options, String> {
                 .parse()
                 .ok()
                 .filter(|n| (1..=MAX_SHARDS).contains(n))
+                .map(Some)
                 .ok_or(format!("--shards needs a shard count in 1..={MAX_SHARDS}"))?;
         } else if arg == "--max-sessions" {
             opts.max_sessions = value("--max-sessions")?
                 .parse()
-                .map_err(|e| format!("--max-sessions: {e}"))?;
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or("--max-sessions needs a session count of at least 1")?;
         } else if arg == "--snapshot-in" {
             opts.snapshot_in = Some(value("--snapshot-in")?);
         } else if arg == "--checkpoint-dir" {
             opts.checkpoint_dir = Some(value("--checkpoint-dir")?);
         } else if arg == "--checkpoint-every" {
-            opts.checkpoint_every = value("--checkpoint-every")?
-                .parse()
-                .map_err(|e| format!("--checkpoint-every: {e}"))?;
+            opts.checkpoint_every = Some(
+                value("--checkpoint-every")?
+                    .parse()
+                    .map_err(|e| format!("--checkpoint-every: {e}"))?,
+            );
         } else if arg == "--help" || arg == "-h" {
             print!("{USAGE}");
             std::process::exit(0);
         } else {
             return Err(format!("unknown argument {arg}"));
         }
+    }
+    if opts.checkpoint_every.is_some() && opts.checkpoint_dir.is_none() {
+        return Err("--checkpoint-every needs --checkpoint-dir".to_string());
+    }
+    if opts.shards.is_some() && opts.snapshot_in.is_some() {
+        return Err(
+            "--shards conflicts with --snapshot-in, which sets the shard count".to_string(),
+        );
     }
     Ok(opts)
 }
@@ -98,6 +116,7 @@ fn parse_args() -> Result<Options, String> {
 fn boot(
     opts: &Options,
 ) -> Result<(Arc<SharedSignatureRepository>, Option<ServePersistence>), String> {
+    let checkpoint_every = opts.checkpoint_every.unwrap_or(64);
     if let Some(dir) = &opts.checkpoint_dir {
         let dir = std::path::Path::new(dir);
         if ServePersistence::exists(dir) {
@@ -109,7 +128,7 @@ fn boot(
                     dir.display()
                 ));
             }
-            let (repo, persistence, report) = ServePersistence::resume(dir, opts.checkpoint_every)
+            let (repo, persistence, report) = ServePersistence::resume(dir, checkpoint_every)
                 .map_err(|e| format!("replaying checkpoint directory: {e}"))?;
             eprintln!(
                 "dejavu-serve: resumed {} entries / {} anchors from {} \
@@ -143,7 +162,7 @@ fn boot(
             repo
         }
         None => SharedSignatureRepository::new(SharedRepoConfig {
-            shards: opts.shards,
+            shards: opts.shards.unwrap_or(16),
             ..SharedRepoConfig::default()
         }),
     };
@@ -151,7 +170,7 @@ fn boot(
     let persistence = match &opts.checkpoint_dir {
         Some(dir) => {
             let dir = std::path::Path::new(dir);
-            let persistence = ServePersistence::create(dir, &repo, opts.checkpoint_every)
+            let persistence = ServePersistence::create(dir, &repo, checkpoint_every)
                 .map_err(|e| format!("initializing checkpoint directory: {e}"))?;
             eprintln!("dejavu-serve: durable checkpoints at {}", dir.display());
             Some(persistence)

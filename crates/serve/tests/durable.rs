@@ -317,3 +317,45 @@ fn out_of_range_shard_counts_are_refused_before_a_manifest_exists() {
     assert!(err.to_string().contains("1..=65536"), "{err}");
     assert!(!ServePersistence::exists(&ckpt) && !ckpt.exists());
 }
+
+/// Flag sets that used to boot a daemon which ignored a flag or could serve
+/// nobody are refused by the parser: exit 2, naming the flag, with nothing
+/// written. The unbindable `--listen` makes a daemon that gets past the
+/// parser exit instead of serving.
+#[test]
+fn flags_that_would_do_nothing_are_refused_before_boot() {
+    let dir = scratch_dir("inert-flags");
+    let ckpt = dir.join("ckpt");
+    let ckpt_arg = ckpt.to_str().expect("UTF-8 scratch path");
+    let snapshot = dir.join("seed.snap");
+    let snapshot_arg = snapshot.to_str().expect("UTF-8 scratch path");
+    let cases = [
+        ("--checkpoint-every", vec!["--checkpoint-every", "8"]),
+        (
+            "--shards",
+            vec![
+                "--shards",
+                "4",
+                "--snapshot-in",
+                snapshot_arg,
+                "--checkpoint-dir",
+                ckpt_arg,
+            ],
+        ),
+        (
+            "--max-sessions",
+            vec!["--max-sessions", "0", "--checkpoint-dir", ckpt_arg],
+        ),
+    ];
+    for (flag, args) in cases {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_dejavu-serve"))
+            .args(["--listen", "unbindable"])
+            .args(&args)
+            .output()
+            .expect("dejavu-serve runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+        assert!(!ckpt.exists(), "{flag} touched {ckpt:?}");
+    }
+}

@@ -10,10 +10,9 @@ use crate::service::{EvalContext, ServiceModel};
 use crate::slo::Slo;
 use dejavu_simcore::SimDuration;
 use dejavu_traces::{RequestMix, ServiceKind};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Cassandra model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CassandraConfig {
     /// The underlying queueing model.
     pub queueing: QueueingModel,
@@ -55,7 +54,7 @@ impl Default for CassandraConfig {
 /// let sample = svc.evaluate(0.5, &EvalContext::steady(SimTime::ZERO, 10.0));
 /// assert!(svc.slo().is_met(&sample));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CassandraService {
     config: CassandraConfig,
 }

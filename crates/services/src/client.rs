@@ -4,7 +4,6 @@
 use crate::perf::PerfSample;
 use crate::service::{EvalContext, ServiceModel};
 use dejavu_simcore::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A client emulator for a service deployment.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// collect throughput/latency statistics; this emulator adds the small
 /// measurement noise a real emulator would observe on top of the service
 /// model's steady-state prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientEmulator {
     /// Number of emulated clients at the trace peak (intensity 1.0).
     pub peak_clients: u32,

@@ -7,10 +7,8 @@
 //! allocations the paper reports (e.g. 1–10 large instances covering the
 //! Messenger trace with a 60 ms SLO) fall out of the same arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// A point-in-time performance measurement of the service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfSample {
     /// Mean response latency in milliseconds.
     pub latency_ms: f64,
@@ -25,7 +23,7 @@ pub struct PerfSample {
 }
 
 /// Queueing model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueingModel {
     /// Latency at (near-)zero load, in milliseconds.
     pub base_latency_ms: f64,

@@ -9,7 +9,6 @@ use crate::perf::{PerfSample, QueueingModel};
 use crate::service::{EvalContext, ServiceModel};
 use crate::slo::Slo;
 use dejavu_traces::{RequestMix, ServiceKind};
-use serde::{Deserialize, Serialize};
 
 /// Number of client interaction types RUBiS defines.
 pub const NUM_INTERACTIONS: usize = 26;
@@ -45,7 +44,7 @@ pub const INTERACTION_NAMES: [&str; NUM_INTERACTIONS] = [
 ];
 
 /// A RUBiS interaction mix: the probability of each interaction type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InteractionMix {
     probabilities: Vec<f64>,
 }
@@ -114,7 +113,7 @@ impl InteractionMix {
 /// let s = svc.evaluate(0.4, &EvalContext::steady(SimTime::ZERO, 6.0));
 /// assert!(svc.slo().is_met(&s));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RubisService {
     mix: InteractionMix,
     queueing: QueueingModel,

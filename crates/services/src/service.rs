@@ -4,7 +4,6 @@ use crate::perf::PerfSample;
 use crate::slo::Slo;
 use dejavu_simcore::{SimDuration, SimTime};
 use dejavu_traces::{RequestMix, ServiceKind};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -27,7 +26,7 @@ impl fmt::Display for ServiceError {
 impl Error for ServiceError {}
 
 /// Context for one evaluation of the service's performance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalContext {
     /// Current simulated time.
     pub time: SimTime,

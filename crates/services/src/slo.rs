@@ -1,7 +1,6 @@
 //! Service-level objectives and their evaluation.
 
 use crate::perf::PerfSample;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A service-level objective.
@@ -9,7 +8,7 @@ use std::fmt;
 /// The paper's Cassandra experiments use a 60 ms latency SLO; the SPECweb
 /// experiments use the benchmark's QoS criterion (≥ 95% of downloads meeting
 /// a 0.99 Mbps rate).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Slo {
     /// Mean response latency must stay at or below this many milliseconds.
     LatencyMs(f64),
@@ -18,7 +17,7 @@ pub enum Slo {
 }
 
 /// The outcome of checking a performance sample against an SLO.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloOutcome {
     /// Whether the SLO was met.
     pub met: bool,

@@ -9,11 +9,10 @@ use crate::perf::{PerfSample, QueueingModel};
 use crate::service::{EvalContext, ServiceModel};
 use crate::slo::Slo;
 use dejavu_traces::{RequestMix, ServiceKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three SPECweb2009 workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpecWebWorkload {
     /// Large-file downloads; read-only and I/O intensive (used for scale-up).
     Support,
@@ -69,7 +68,7 @@ impl fmt::Display for SpecWebWorkload {
 /// let s = svc.evaluate(0.95, &EvalContext::steady(SimTime::ZERO, 10.0));
 /// assert!(svc.slo().is_met(&s));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpecWebService {
     workload: SpecWebWorkload,
     queueing: QueueingModel,

@@ -1,12 +1,10 @@
 //! Seeded random number generation for the simulation.
 //!
 //! [`SimRng`] is a small facade over a deterministic PRNG (xoshiro-style,
-//! implemented locally so that streams are stable across `rand` versions) plus
+//! implemented locally so that streams are stable across toolchains) plus
 //! the distributions the experiments need: uniform, normal, exponential,
 //! log-normal and Zipf. Sub-streams can be forked per component so that adding
 //! randomness in one module does not perturb another.
-
-use rand::{Rng, RngCore, SeedableRng};
 
 /// SplitMix64, used to expand seeds.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -190,40 +188,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut i = 0;
-        while i < dest.len() {
-            let chunk = self.next().to_le_bytes();
-            let n = (dest.len() - i).min(8);
-            dest[i..i + n].copy_from_slice(&chunk[..n]);
-            i += n;
-        }
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for SimRng {
-    type Seed = [u8; 8];
-    fn from_seed(seed: Self::Seed) -> Self {
-        SimRng::seed_from_u64(u64::from_le_bytes(seed))
-    }
-}
-
-/// Convenience: draw using any `rand::Rng` API on a `SimRng`.
-pub fn gen_range_f64<R: Rng>(rng: &mut R, lo: f64, hi: f64) -> f64 {
-    rng.gen_range(lo..hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,7 +197,7 @@ mod tests {
         let mut a = SimRng::seed_from_u64(7);
         let mut b = SimRng::seed_from_u64(7);
         for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.next(), b.next());
         }
     }
 
@@ -241,7 +205,7 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = SimRng::seed_from_u64(1);
         let mut b = SimRng::seed_from_u64(2);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
+        let same = (0..64).filter(|_| a.next() == b.next()).count();
         assert!(same < 4, "streams from different seeds should diverge");
     }
 
@@ -251,8 +215,8 @@ mod tests {
         let mut f1 = parent.fork(1);
         let mut f1_again = parent.fork(1);
         let mut f2 = parent.fork(2);
-        assert_eq!(f1.next_u64(), f1_again.next_u64());
-        assert_ne!(f1.next_u64(), f2.next_u64());
+        assert_eq!(f1.next(), f1_again.next());
+        assert_ne!(f1.next(), f2.next());
     }
 
     #[test]
@@ -314,13 +278,5 @@ mod tests {
         assert!(rng.choose(&v).is_some());
         let empty: Vec<u32> = vec![];
         assert!(rng.choose(&empty).is_none());
-    }
-
-    #[test]
-    fn fill_bytes_fills_everything() {
-        let mut rng = SimRng::seed_from_u64(10);
-        let mut buf = [0u8; 37];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -2,7 +2,6 @@
 //! (hourly averages, time-weighted integrals, SLO-violation fractions).
 
 use crate::time::{SimDuration, SimTime, SECS_PER_HOUR};
-use serde::{Deserialize, Serialize};
 
 /// An append-only series of values sampled on a uniform time grid.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 15.0);
 /// assert_eq!(s.iter().last(), Some((SimTime::from_secs(60.0), 20.0)));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     name: String,
     step_secs: f64,

@@ -3,8 +3,6 @@
 //! These accumulators back every latency, QoS and cost series in the
 //! experiments, so they avoid storing anything beyond what the reports need.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford-style running mean/variance plus min/max, with exact percentiles on
 /// demand (samples are retained; the experiments keep at most a few hundred
 /// thousand points, which is well within budget).
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.min(), Some(1.0));
 /// assert_eq!(s.max(), Some(4.0));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -199,7 +197,7 @@ impl Extend<f64> for OnlineStats {
 /// assert_eq!(h.bucket_count(0), 1);
 /// assert_eq!(h.overflow(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

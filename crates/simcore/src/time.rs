@@ -5,7 +5,6 @@
 //! up and provide the handful of conversions the experiments need (hours for
 //! trace epochs, minutes for controller calm times).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -23,7 +22,7 @@ pub const SECS_PER_DAY: f64 = 86_400.0;
 /// let t = SimTime::from_hours(2.0) + SimDuration::from_secs(30.0);
 /// assert_eq!(t.as_secs(), 7_230.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 /// A span of simulated time, in seconds.
@@ -35,7 +34,7 @@ pub struct SimTime(f64);
 /// let d = SimDuration::from_mins(3.0);
 /// assert_eq!(d.as_secs(), 180.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimDuration(f64);
 
 impl SimTime {

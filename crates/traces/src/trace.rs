@@ -1,7 +1,6 @@
 //! Load traces: sequences of normalized load levels at a fixed sampling step.
 
 use dejavu_simcore::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -53,7 +52,7 @@ impl Error for TraceError {}
 /// assert_eq!(t.duration(), SimDuration::from_hours(3.0));
 /// # Ok::<(), dejavu_traces::TraceError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadTrace {
     name: String,
     step_secs: f64,

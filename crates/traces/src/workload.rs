@@ -1,11 +1,10 @@
 //! Workload descriptions: which service is exercised, how hard, and with what
 //! request mix.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The benchmark services used throughout the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceKind {
     /// Cassandra-like distributed key-value store stressed by YCSB-style clients.
     Cassandra,
@@ -45,7 +44,7 @@ impl fmt::Display for ServiceKind {
 /// (e.g. Cassandra's update-heavy 95%-write mix vs. a read-mostly mix, or the
 /// SPECweb support workload being read-only); the mix shifts the low-level
 /// metric signature even at identical intensity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestMix {
     /// Fraction of read requests in `[0, 1]`; the rest are writes/updates.
     read_fraction: f64,
@@ -100,7 +99,7 @@ impl Default for RequestMix {
 
 /// Normalized workload intensity: the offered load as a fraction of the peak
 /// load the service can sustain at full capacity.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct WorkloadIntensity(f64);
 
 impl WorkloadIntensity {
@@ -142,7 +141,7 @@ impl Default for WorkloadIntensity {
 
 /// A workload observed at one point in time: the service being exercised, the
 /// normalized intensity and the request mix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Workload {
     /// The service this workload targets.
     pub service: ServiceKind,
