@@ -41,7 +41,7 @@ use std::fmt::Debug;
 /// each other bit for bit.
 pub trait RepositoryClient: Debug + Send + Sync {
     /// Anchor-resolved lookup with per-tenant memoization; the tenant read
-    /// path. See [`SharedSignatureRepository::peek_resolved_cached`].
+    /// path. See [`SharedSignatureRepository::peek`].
     #[allow(clippy::too_many_arguments)]
     fn peek_resolved_cached(
         &self,
@@ -106,13 +106,13 @@ impl RepositoryClient for SharedSignatureRepository {
         exclude_owner: Option<TenantId>,
         memo: &mut ResolveMemo,
     ) -> Option<(SharedEntry, (u32, u32, f64))> {
-        self.peek_resolved_cached(
+        self.peek(
             namespace,
             signature,
             interference_bucket,
             now,
             exclude_owner,
-            memo,
+            Some(memo),
         )
     }
 
@@ -191,8 +191,7 @@ mod tests {
         let mut memo_b = ResolveMemo::default();
         let via_trait =
             client.peek_resolved_cached(11, &[10.0, 20.0], 0, SimTime::ZERO, None, &mut memo_a);
-        let direct =
-            repo.peek_resolved_cached(11, &[10.0, 20.0], 0, SimTime::ZERO, None, &mut memo_b);
+        let direct = repo.peek(11, &[10.0, 20.0], 0, SimTime::ZERO, None, Some(&mut memo_b));
         assert_eq!(
             via_trait.map(|(e, r)| (e.allocation, r)),
             direct.map(|(e, r)| (e.allocation, r))

@@ -401,6 +401,20 @@ fn parse_float(tok: &str, line: usize, what: &str) -> Result<f64, SnapshotError>
     })
 }
 
+/// [`parse_float`] for a time or a duration, which must be finite and
+/// non-negative (what `SimTime` and `SimDuration` accept).
+fn parse_time(tok: &str, line: usize, what: &str) -> Result<f64, SnapshotError> {
+    let secs = parse_float(tok, line, what)?;
+    if secs.is_finite() && secs >= 0.0 {
+        Ok(secs)
+    } else {
+        Err(format_err(
+            line,
+            format!("bad {what} {secs} (expected a finite, non-negative time)"),
+        ))
+    }
+}
+
 /// Parses an `anchor <id> <values…>` record (head token already consumed).
 fn parse_anchor(
     toks: &mut std::str::SplitWhitespace,
@@ -435,7 +449,7 @@ fn parse_entry(
         other => return Err(format_err(line_no, format!("bad instance type {other:?}"))),
     };
     let count = parse_int::<u32>(next("count")?, line_no, "entry count")?;
-    let tuned_at_secs = parse_float(next("tuned_at")?, line_no, "tuned_at")?;
+    let tuned_at_secs = parse_time(next("tuned_at")?, line_no, "tuned_at")?;
     let owner = parse_int::<usize>(next("owner")?, line_no, "entry owner")?;
     let hits = parse_int::<u64>(next("hits")?, line_no, "entry hits")?;
     let cross = parse_int::<u64>(next("cross hits")?, line_no, "entry cross hits")?;
@@ -517,10 +531,10 @@ pub fn decode(text: &str) -> Result<RepoSnapshot, SnapshotError> {
                 ttl_secs = Some(if value == "none" {
                     None
                 } else {
-                    Some(parse_float(value, config_line_no, "ttl")?)
+                    Some(parse_time(value, config_line_no, "ttl")?)
                 })
             }
-            "clock" => clock_secs = Some(parse_float(value, config_line_no, "clock")?),
+            "clock" => clock_secs = Some(parse_time(value, config_line_no, "clock")?),
             other => {
                 return Err(format_err(
                     config_line_no,
@@ -669,7 +683,7 @@ pub fn decode_delta(text: &str) -> Result<DeltaSnapshot, SnapshotError> {
         match key {
             "shard" => shard = Some(parse_int::<usize>(value, header_no, "delta shard")?),
             "epoch" => epoch = Some(parse_int::<usize>(value, header_no, "delta epoch")?),
-            "clock" => clock_secs = Some(parse_float(value, header_no, "delta clock")?),
+            "clock" => clock_secs = Some(parse_time(value, header_no, "delta clock")?),
             other => {
                 return Err(format_err(
                     header_no,
@@ -1226,6 +1240,40 @@ mod tests {
             decode(&trailing),
             Err(SnapshotError::Format { .. })
         ));
+    }
+
+    #[test]
+    fn hostile_times_are_rejected_with_their_line() {
+        let hex = |v: f64| format!("fb{:016x}", v.to_bits());
+        let text = encode(&sample());
+        let delta = encode_delta(&sample_delta(0));
+        for bad in [f64::NAN, -1.0, f64::INFINITY].map(hex) {
+            // The config clock and TTL are on line 2; the only entry, tuned
+            // at 3600 s, is on line 6.
+            for (what, line, hostile) in [
+                ("clock", 2, text.replace(&hex(7_200.0), &bad)),
+                ("ttl", 2, text.replace(&hex(86_400.0), &bad)),
+                ("tuned_at", 6, text.replace(&hex(3600.0), &bad)),
+            ] {
+                assert_ne!(hostile, text, "{what} was not replaced");
+                match decode(&hostile) {
+                    Err(SnapshotError::Format { line: got, message }) => {
+                        assert_eq!(got, line, "{message}");
+                        assert!(message.contains(what), "{message}");
+                    }
+                    other => panic!("expected a format error for {what}, got {other:?}"),
+                }
+                assert!(crate::SharedSignatureRepository::load_snapshot(&hostile).is_err());
+            }
+            let hostile = delta.replace(&hex(9_000.0), &bad);
+            assert!(
+                matches!(
+                    decode_delta(&hostile),
+                    Err(SnapshotError::Format { line: 2, .. })
+                ),
+                "delta clock {bad}"
+            );
+        }
     }
 
     #[test]

@@ -334,7 +334,7 @@ pub struct Metrics {
     // --- shared repository ---
     /// Shared-store lookup latency (ns), recorded per `lookup` call.
     pub lookup_ns: LogHistogram,
-    /// Read-only peek latency (ns), recorded per `peek_resolved*` call.
+    /// Read-only peek latency (ns), recorded per `peek` call.
     pub peek_ns: LogHistogram,
     /// Publish latency (ns), one observation per committed `Publish` op.
     pub publish_ns: LogHistogram,

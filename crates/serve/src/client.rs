@@ -4,7 +4,8 @@
 //!
 //! Read resolution happens server-side — [`RemoteRepository`] maps
 //! [`peek_resolved_cached`](RepositoryClient::peek_resolved_cached) to a
-//! wire `Peek` and ignores the caller's memo. That is sound because the
+//! wire `Peek` (a server-side `peek` without a memo) and ignores the
+//! caller's memo. That is sound because the
 //! memoized path is documented bit-identical to the fresh one: the memo
 //! only skips re-deriving an answer, never changes it, so a remote run's
 //! [`FleetReport`](dejavu_fleet::FleetReport) bit-matches the in-process
@@ -69,7 +70,7 @@ impl Write for Conn {
 /// One tenant session against a dejavu-serve daemon, usable anywhere the
 /// engine takes an `Arc<dyn RepositoryClient>`. The connection is
 /// serialized behind a mutex — the wire is one request/response stream, so
-/// concurrent tenant threads take turns (the served repository's wait-free
+/// concurrent tenant threads take turns (the served repository's snapshot
 /// read path is on the far side).
 #[derive(Debug)]
 pub struct RemoteRepository {

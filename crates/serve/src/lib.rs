@@ -13,7 +13,7 @@
 //!   [`protocol::Framed`], the one path every frame takes on either end:
 //!   one `write` per frame out, buffered in-place reads in.
 //! - [`server`] — the daemon: thread-per-connection sessions over the
-//!   repository's wait-free read path, admission control
+//!   repository's snapshot read path, admission control
 //!   ([`ServeConfig::max_sessions`]), and per-tenant usage accounting.
 //! - [`client`] — [`RemoteRepository`], a
 //!   [`RepositoryClient`](dejavu_fleet::RepositoryClient) speaking the

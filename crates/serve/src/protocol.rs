@@ -146,8 +146,8 @@ pub enum Request {
         now: SimTime,
     },
     /// Side-effect-free resolved read
-    /// ([`peek_resolved`](dejavu_fleet::SharedSignatureRepository::peek_resolved)) —
-    /// the tenant-view read path.
+    /// ([`peek`](dejavu_fleet::SharedSignatureRepository::peek) without a
+    /// memo) — the tenant-view read path.
     Peek {
         /// Namespace to resolve in.
         namespace: u64,
@@ -429,8 +429,14 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64(context)?))
     }
 
+    /// A fleet time: finite and non-negative, as [`SimTime`] requires.
     fn time(&mut self, context: &'static str) -> Result<SimTime, WireError> {
-        Ok(SimTime::from_secs(self.f64(context)?))
+        let secs = self.f64(context)?;
+        if secs.is_finite() && secs >= 0.0 {
+            Ok(SimTime::from_secs(secs))
+        } else {
+            Err(WireError::Malformed { context })
+        }
     }
 
     fn sig(&mut self) -> Result<Vec<f64>, WireError> {
@@ -442,7 +448,16 @@ impl<'a> Cursor<'a> {
                 context: "signature length",
             });
         }
-        (0..n).map(|_| self.f64("signature value")).collect()
+        // A non-finite component matches no anchor, so every publish of it
+        // would mint a new one.
+        (0..n)
+            .map(|_| match self.f64("signature value")? {
+                v if v.is_finite() => Ok(v),
+                _ => Err(WireError::Malformed {
+                    context: "signature value",
+                }),
+            })
+            .collect()
     }
 
     fn alloc(&mut self) -> Result<ResourceAllocation, WireError> {
@@ -1511,6 +1526,60 @@ mod tests {
             Request::decode(&body),
             Err(WireError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    fn hostile_times_and_signature_values_are_malformed() {
+        let lookup = |now: f64, value: f64| {
+            let mut body = vec![PROTOCOL_VERSION, OP_LOOKUP];
+            body.extend_from_slice(&3u64.to_le_bytes());
+            body.extend_from_slice(&11u64.to_le_bytes());
+            body.extend_from_slice(&1u32.to_le_bytes());
+            body.extend_from_slice(&value.to_le_bytes());
+            body.extend_from_slice(&0u32.to_le_bytes());
+            body.extend_from_slice(&now.to_le_bytes());
+            Request::decode(&body)
+        };
+        assert!(matches!(lookup(3600.0, 1.5), Ok(Request::Lookup { .. })));
+        for now in [f64::NAN, -1.0, f64::INFINITY] {
+            assert_eq!(
+                lookup(now, 1.5),
+                Err(WireError::Malformed {
+                    context: "lookup now"
+                }),
+                "now = {now}"
+            );
+        }
+        for value in [f64::NAN, f64::NEG_INFINITY] {
+            assert_eq!(
+                lookup(0.0, value),
+                Err(WireError::Malformed {
+                    context: "signature value"
+                }),
+                "value = {value}"
+            );
+        }
+        // Times inside a response go through the same check.
+        let mut body = Response::Entry(Some(SharedEntry {
+            allocation: ResourceAllocation::large(2),
+            tuned_at: SimTime::from_secs(900.0),
+            owner: 1,
+            hits: 0,
+            cross_tenant_hits: 0,
+        }))
+        .encode();
+        let tuned_at = 900.0f64.to_le_bytes();
+        let at = body
+            .windows(8)
+            .position(|w| w == tuned_at)
+            .expect("tuned_at is on the wire");
+        body[at..at + 8].copy_from_slice(&(-1.0f64).to_le_bytes());
+        assert_eq!(
+            Response::decode(&body),
+            Err(WireError::Malformed {
+                context: "tuned_at"
+            })
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The dejavu-serve daemon: hosts one [`SharedSignatureRepository`] behind
 //! the wire protocol, over TCP or a Unix socket.
 //!
-//! One OS thread per connection — the repository's read path is wait-free,
-//! so concurrent sessions scale with cores rather than serializing on a
-//! shard lock, and a thread blocked in `read` costs nothing. Each
+//! One OS thread per connection — the repository's reads resolve against a
+//! published snapshot without the shard's state lock, so concurrent
+//! sessions scale with cores rather than serializing on a shard lock, and a thread blocked in `read` costs nothing. Each
 //! connection must open with [`Request::Hello`]; admission control caps
 //! live sessions at [`ServeConfig::max_sessions`] and refuses the rest with
 //! a [`Response::Denied`] frame instead of a hang. Per-tenant usage
@@ -641,12 +641,13 @@ fn handle(repo: &SharedSignatureRepository, request: Request) -> Response {
             interference_bucket,
             now,
             exclude_owner,
-        } => Response::Peeked(repo.peek_resolved(
+        } => Response::Peeked(repo.peek(
             namespace,
             &signature,
             interference_bucket,
             now,
             exclude_owner,
+            None,
         )),
         Request::Publish {
             tenant,

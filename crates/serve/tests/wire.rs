@@ -2,7 +2,7 @@
 //! client must be **bit-identical** to the same fleet run in process.
 //!
 //! The remote read path maps `peek_resolved_cached` onto a server-side
-//! `peek_resolved` (the memo only skips re-derivation, never changes an
+//! `peek` without a memo (the memo only skips re-derivation, never changes an
 //! answer) and every write travels as the same `PendingOp` batch the
 //! in-process committer applies, so there is no legitimate source of
 //! divergence — any difference in the report, the hit-rate curve, or the

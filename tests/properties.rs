@@ -591,6 +591,14 @@ fn single_tenant_fleet_bit_matches_single_controller_run() {
     assert_eq!(fleet.cross_tenant_hits, 0);
 }
 
+/// The anchor a bucket-0 peek resolved `sig` to, read from the peek's
+/// witness. Where every anchor comes from a bucket-0 insert with no TTL, the
+/// peek finds an entry exactly when some anchor matches.
+fn peeked_anchor(repo: &SharedSignatureRepository, namespace: u64, sig: &[f64]) -> Option<u32> {
+    repo.peek(namespace, sig, 0, SimTime::ZERO, None, None)
+        .map(|(_, (anchor, _, _))| anchor)
+}
+
 /// The indexed anchor resolution of the shared repository returns exactly
 /// what a brute-force linear scan over all anchors would: the nearest anchor
 /// within tolerance, ties broken toward the lowest anchor id. The reference
@@ -670,7 +678,7 @@ fn indexed_anchor_resolution_matches_brute_force() {
                     .collect()
             };
             assert_eq!(
-                repo.resolve_anchor(namespace, &q),
+                peeked_anchor(&repo, namespace, &q),
                 reference.resolve(&q),
                 "case {case} step {step}: indexed resolve diverged from brute force"
             );
@@ -707,13 +715,14 @@ fn anchor_resolution_ties_break_toward_lowest_id() {
     repo.insert(0, 1, &[2.0], 0, ResourceAllocation::large(1), SimTime::ZERO);
     repo.insert(7, 1, &[4.5], 0, ResourceAllocation::large(2), SimTime::ZERO);
     assert_eq!(repo.anchor_count(), 2, "anchors must not merge");
-    assert_eq!(repo.resolve_anchor(1, &[3.0]), Some(0));
+    assert_eq!(peeked_anchor(&repo, 1, &[3.0]), Some(0));
 }
 
 /// The read path is genuinely read-only: concurrent lookups and peeks from
-/// many threads proceed under the shard read lock, and the relaxed-atomic
-/// statistics lose no updates. (Before the read-only read path, every lookup
-/// took the shard write lock and serialized all readers.)
+/// many threads resolve against the shard's published snapshot without
+/// taking its state lock, and the relaxed-atomic statistics lose no
+/// updates. (Before the read-only read path, every lookup took the shard
+/// write lock and serialized all readers.)
 #[test]
 fn concurrent_lookups_and_peeks_lose_no_statistics() {
     let repo = SharedSignatureRepository::new(SharedRepoConfig::default());
@@ -734,7 +743,9 @@ fn concurrent_lookups_and_peeks_lose_no_statistics() {
                     // Peeks interleave with the lookups on the same shard;
                     // they must see the entry and move no statistics.
                     if i % 3 == 0 {
-                        assert!(repo.peek(1, sig, 0, SimTime::ZERO, Some(99)).is_some());
+                        assert!(repo
+                            .peek(1, sig, 0, SimTime::ZERO, Some(99), None)
+                            .is_some());
                     }
                 }
             });
@@ -803,15 +814,15 @@ fn shared_repo_snapshot_round_trip_is_bit_identical() {
                     }
                 }
                 2 => {
-                    let got = repo.peek(ns, &sig, bucket, now, Some(tenant));
+                    let got = repo.peek(ns, &sig, bucket, now, Some(tenant), None);
                     if let Some(twin) = probe_twin {
-                        assert_eq!(got, twin.peek(ns, &sig, bucket, now, Some(tenant)));
+                        assert_eq!(got, twin.peek(ns, &sig, bucket, now, Some(tenant), None));
                     }
                 }
                 _ => {
-                    let got = repo.resolve_anchor(ns, &sig);
+                    let got = repo.peek(ns, &sig, bucket, now, None, None);
                     if let Some(twin) = probe_twin {
-                        assert_eq!(got, twin.resolve_anchor(ns, &sig));
+                        assert_eq!(got, twin.peek(ns, &sig, bucket, now, None, None));
                     }
                 }
             }
@@ -1132,7 +1143,7 @@ fn ttl_sweep_reclaims_deferred_stale_entries_with_consistent_counters() {
             let hit = repo.lookup(1, *ns, sig, 0, now);
             assert_eq!(hit.is_none(), stale(*at), "case {case} ns {ns}");
             assert_eq!(
-                repo.peek(*ns, sig, 0, now, None).is_none(),
+                repo.peek(*ns, sig, 0, now, None, None).is_none(),
                 stale(*at),
                 "case {case} ns {ns}"
             );
@@ -1394,9 +1405,8 @@ fn memoized_peek_resolution_matches_uncached_peeks() {
             } else {
                 None
             };
-            let cached =
-                repo.peek_resolved_cached(namespace, &sig, bucket, now, exclude, &mut memo);
-            let plain = repo.peek_resolved(namespace, &sig, bucket, now, exclude);
+            let cached = repo.peek(namespace, &sig, bucket, now, exclude, Some(&mut memo));
+            let plain = repo.peek(namespace, &sig, bucket, now, exclude, None);
             assert_eq!(
                 cached, plain,
                 "case {case} step {step}: memoized peek diverged"
@@ -1461,23 +1471,35 @@ fn compacted_snapshots_drop_only_never_hit_entries() {
         let loaded = SharedSignatureRepository::load_snapshot(&compacted)
             .unwrap_or_else(|e| panic!("case {case}: compacted snapshot failed to load: {e}"));
         assert_eq!(loaded.len(), hit_count, "case {case}: wrong entries kept");
+        // Same anchors under the same tolerance: resolution is untouched,
+        // also for the signatures whose entries compaction dropped.
+        let anchors = |r: &SharedSignatureRepository| -> Vec<_> {
+            r.to_snapshot()
+                .namespaces
+                .into_iter()
+                .map(|ns| ns.anchors)
+                .collect()
+        };
         assert_eq!(
-            loaded.anchor_count(),
-            repo.anchor_count(),
+            anchors(&loaded),
+            anchors(&repo),
             "case {case}: compaction must keep anchors"
         );
         assert_eq!(loaded.stats(), repo.stats(), "case {case}: stats drifted");
         for (ns, sig, hit) in &inserted {
+            let peeked = loaded.peek(*ns, sig, 0, SimTime::ZERO, None, None);
             assert_eq!(
-                loaded.resolve_anchor(*ns, sig),
-                repo.resolve_anchor(*ns, sig),
-                "case {case}: resolution drifted"
-            );
-            assert_eq!(
-                loaded.peek(*ns, sig, 0, SimTime::ZERO, None).is_some(),
+                peeked.is_some(),
                 *hit,
                 "case {case}: entry survival mismatched its hit state"
             );
+            if *hit {
+                assert_eq!(
+                    peeked,
+                    repo.peek(*ns, sig, 0, SimTime::ZERO, None, None),
+                    "case {case}: resolution drifted"
+                );
+            }
         }
         // A loaded compacted repository re-saves to the same bytes: every
         // surviving entry has hits, so compaction is idempotent.
