@@ -34,12 +34,6 @@ impl OnlineTuning {
         }
     }
 
-    /// Overrides the per-experiment duration.
-    pub fn with_experiment_duration(mut self, per_experiment: SimDuration) -> Self {
-        self.per_experiment = per_experiment;
-        self
-    }
-
     fn workload_changed(&self, intensity: f64) -> bool {
         match self.last_tuned_intensity {
             None => true,

@@ -78,13 +78,6 @@ impl DejaVuStats {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    /// Hit rate of the underlying repository over every lookup this controller
-    /// issued (learning-phase fleet lookups included), as reported by
-    /// [`RepositoryStats::hit_rate`].
-    pub fn repository_hit_rate(&self) -> f64 {
-        self.repository.hit_rate()
-    }
 }
 
 /// The DejaVu framework as a provisioning controller.
@@ -100,7 +93,6 @@ pub struct DejaVuController {
     phase: DejaVuPhase,
     // Learning-phase data.
     learning_sigs: Vec<WorkloadSignature>,
-    learning_workloads: Vec<Workload>,
     learning_allocs: Vec<ResourceAllocation>,
     // Trained state.
     builder: Option<SignatureBuilder>,
@@ -155,7 +147,6 @@ impl DejaVuController {
             rng,
             phase: DejaVuPhase::Learning,
             learning_sigs: Vec::new(),
-            learning_workloads: Vec::new(),
             learning_allocs: Vec::new(),
             builder: None,
             classifier: None,
@@ -295,7 +286,6 @@ impl DejaVuController {
             }
         };
         self.learning_sigs.push(report.signature);
-        self.learning_workloads.push(obs.workload);
         self.learning_allocs.push(allocation);
         self.last_profile_time = Some(obs.time);
         self.last_action_time = Some(obs.time);
@@ -377,7 +367,6 @@ impl DejaVuController {
                 .tune(&workload, self.service.as_ref(), &self.space, 1.0);
             self.stats.tunings += 1;
             self.learning_sigs.push(sig);
-            self.learning_workloads.push(workload);
             self.learning_allocs.push(outcome.allocation);
         }
         self.stats.reclusterings += 1;

@@ -75,11 +75,6 @@ impl SignatureBuilder {
         &self.selection.selected_names
     }
 
-    /// Indices of the selected metrics within the full catalogue.
-    pub fn metric_indices(&self) -> &[usize] {
-        &self.selection.selected
-    }
-
     /// The CFS merit of the selected subset.
     pub fn merit(&self) -> f64 {
         self.selection.merit

@@ -16,6 +16,10 @@
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 40 --churn
 //! # the same fleet on a 4-thread work-stealing pool (bit-identical to the barrier):
 //! cargo run -p dejavu-experiments --release -- fleet --transport steal --threads 4
+//! # inject seeded tenant crashes and shard losses; recovery is invisible:
+//! cargo run -p dejavu-experiments --release -- fleet --faults 42 --checkpoint-every 8
+//! # spill the delta-checkpoint chain to disk:
+//! cargo run -p dejavu-experiments --release -- fleet --checkpoint-dir fleet-ckpt/
 //! # drop never-hit entries when persisting:
 //! cargo run -p dejavu-experiments --release -- fleet --snapshot-out fleet.snap --snapshot-compact
 //! # flight recorder: lookup latency quantiles, frontier lag, park/steal rates:
@@ -72,18 +76,18 @@ pub struct FleetOptions {
     /// (implies nothing about `obs`; the CLI sets both).
     pub obs_out: Option<String>,
     /// Inject a deterministic fault schedule into the shared fleet
-    /// (`--faults SEED` or `--faults SEED:kind,...`). Requires the async
-    /// transport — the BSP barrier has no report path to fault.
+    /// (`--faults SEED` or `--faults SEED:kind,...`, kinds `crash` and
+    /// `shard-loss`), on either transport.
     pub faults: Option<FaultSpec>,
     /// Compact the recovery delta chains every N commits per shard
-    /// (`--checkpoint-every N`; 0 keeps every delta). Requires the async
-    /// transport; recording itself is always on during fault runs.
+    /// (`--checkpoint-every N`; 0 keeps every delta), on either transport;
+    /// recording itself is always on during fault runs.
     pub checkpoint_every: usize,
     /// Spill the shared fleet's delta-chain checkpoints to a durable
-    /// on-disk store at this directory (`--checkpoint-dir PATH`): every
-    /// commit is crash-safe before it acknowledges, and the directory
-    /// replays to the final repository state. Requires the async transport
-    /// and an in-process repository.
+    /// on-disk store at this directory (`--checkpoint-dir PATH`), on either
+    /// transport: every commit's checkpoint is crash-safe before the next
+    /// epoch reads it, and the directory replays to the final repository
+    /// state. Requires an in-process repository.
     pub checkpoint_dir: Option<String>,
     /// Drive the shared fleet against a `dejavu-serve` daemon at this TCP
     /// address instead of an in-process repository (`--repo
@@ -131,13 +135,8 @@ impl FleetFigure {
             r.kv(
                 "recovery",
                 format!(
-                    "{} crashes replayed over {} epochs, {} committer restarts, \
-                     {} shard losses, {} checkpoints",
-                    f.tenants_crashed,
-                    f.replayed_epochs,
-                    f.committer_restarts,
-                    f.shard_losses,
-                    f.checkpoints
+                    "{} crashes replayed over {} epochs, {} shard losses, {} checkpoints",
+                    f.tenants_crashed, f.replayed_epochs, f.shard_losses, f.checkpoints
                 ),
             );
         }
@@ -208,31 +207,6 @@ impl FleetFigure {
 /// Runs the fleet comparison under `opts`. Reads/writes snapshot files when
 /// requested; IO or snapshot-format problems surface as errors.
 pub fn run_opts(opts: &FleetOptions) -> Result<FleetFigure, Box<dyn std::error::Error>> {
-    // Fault schedules ride the asynchronous report path; reject the
-    // combination with the barrier up front, with the same typed error the
-    // CLI surfaces.
-    if let Some(spec) = &opts.faults {
-        opts.transport.check_faults(spec)?;
-    }
-    // Durable checkpointing and chain compaction ride the same
-    // commit-boundary capture path as fault recovery, which the barrier
-    // transport doesn't have.
-    if opts.transport == TransportConfig::Bsp {
-        if opts.checkpoint_dir.is_some() {
-            return Err(
-                "--checkpoint-dir needs an async transport (--transport steal): the bsp \
-                 barrier has no commit-boundary capture path"
-                    .into(),
-            );
-        }
-        if opts.checkpoint_every > 0 {
-            return Err(
-                "--checkpoint-every needs an async transport (--transport steal): the bsp \
-                 barrier has no delta chain to compact"
-                    .into(),
-            );
-        }
-    }
     let scenario = if opts.churn {
         churn_fleet(opts.tenants, opts.days, opts.seed, 24)
     } else {
@@ -365,6 +339,26 @@ pub fn run(seed: u64) -> FleetFigure {
 mod tests {
     use super::*;
 
+    /// Runs `opts` on the barrier and on a pool of two, asserts that the
+    /// shared fleets' reports agree on everything but the transport, and
+    /// returns the barrier's figure.
+    fn bsp_matching_steal(opts: &FleetOptions) -> FleetFigure {
+        let bsp = run_opts(opts).expect("bsp run");
+        let mut steal = run_opts(&FleetOptions {
+            transport: TransportConfig::WorkStealing { threads: 2 },
+            ..opts.clone()
+        })
+        .expect("steal run")
+        .shared;
+        steal.transport = bsp.shared.transport.clone();
+        assert_eq!(
+            format!("{:?}", bsp.shared),
+            format!("{steal:?}"),
+            "the barrier's report diverged from the pool's"
+        );
+        bsp
+    }
+
     #[test]
     fn sharing_strictly_beats_isolation_on_hit_rate() {
         let fig = run_with(3, 8, 2, false);
@@ -469,18 +463,16 @@ mod tests {
     }
 
     #[test]
-    fn fault_specs_on_the_bsp_barrier_are_rejected() {
-        let err = run_opts(&FleetOptions {
+    fn fault_specs_on_the_bsp_barrier_match_the_pool() {
+        let fig = bsp_matching_steal(&FleetOptions {
             seed: 3,
-            tenants: 2,
+            tenants: 6,
             days: 1,
-            faults: Some(FaultSpec::parse("7:crash").expect("valid spec")),
+            faults: Some(FaultSpec::parse("42").expect("valid spec")),
             ..Default::default()
-        })
-        .expect_err("bsp cannot inject faults");
-        let message = err.to_string();
-        assert!(message.contains("'bsp'"), "{message}");
-        assert!(message.contains("cannot inject faults"), "{message}");
+        });
+        let summary = fig.shared.faults.as_ref().expect("fault summary");
+        assert!(summary.injected > 0, "the schedule never fired");
     }
 
     #[test]
@@ -499,24 +491,21 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("banana"), "{err}");
-        // Unknown kind, listing the valid ones.
-        let err = FaultSpec::parse("7:flood").expect_err("unknown kind");
-        assert_eq!(
-            err,
-            FaultSpecError::UnknownKind {
-                kind: "flood".to_string()
-            }
-        );
-        let message = err.to_string();
-        for valid in [
-            "'crash'",
-            "'restart'",
-            "'drop'",
-            "'dup'",
-            "'reorder'",
-            "'shard-loss'",
-        ] {
-            assert!(message.contains(valid), "{message} should list {valid}");
+        // Unknown kind (the removed report-channel and committer kinds
+        // included), listing exactly the valid ones.
+        for kind in ["flood", "drop", "dup", "reorder", "restart"] {
+            let err = FaultSpec::parse(&format!("7:{kind}")).expect_err("unknown kind");
+            assert_eq!(
+                err,
+                FaultSpecError::UnknownKind {
+                    kind: kind.to_string()
+                }
+            );
+            let message = err.to_string();
+            assert!(
+                message.ends_with("valid kinds are 'crash', 'shard-loss'"),
+                "{message}"
+            );
         }
         // A kind list that lists nothing.
         let err = FaultSpec::parse("7:,,").expect_err("no kinds");
@@ -666,7 +655,6 @@ mod tests {
             seed: 3,
             tenants: 6,
             days: 1,
-            transport: TransportConfig::WorkStealing { threads: 6 },
             checkpoint_every: 4,
             checkpoint_dir: Some(ckpt.to_string_lossy().into_owned()),
             snapshot_out: Some(snap.clone()),
@@ -691,16 +679,19 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_dir_on_the_bsp_barrier_is_rejected() {
-        let err = run_opts(&FleetOptions {
+    fn checkpoint_dir_on_the_bsp_barrier_matches_the_pool_and_is_refused_over_the_wire() {
+        let ckpt =
+            std::env::temp_dir().join(format!("dejavu-fleet-exp-bsp-ckpt-{}", std::process::id()));
+        let fig = bsp_matching_steal(&FleetOptions {
             seed: 3,
-            tenants: 2,
+            tenants: 4,
             days: 1,
-            checkpoint_dir: Some("unused-dir".into()),
+            checkpoint_dir: Some(ckpt.to_string_lossy().into_owned()),
             ..Default::default()
-        })
-        .expect_err("bsp cannot checkpoint durably");
-        assert!(err.to_string().contains("async transport"), "{err}");
+        });
+        assert!(fig.shared.faults.expect("checkpoint telemetry").checkpoints > 0);
+        assert!(ckpt.join("MANIFEST").exists(), "no manifest written");
+        std::fs::remove_dir_all(&ckpt).ok();
 
         let handle = dejavu_serve::serve_tcp(
             Arc::new(SharedSignatureRepository::new(
@@ -726,16 +717,17 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_every_on_the_bsp_barrier_is_rejected() {
-        let err = run_opts(&FleetOptions {
+    fn checkpoint_every_on_the_bsp_barrier_matches_the_pool() {
+        let fig = bsp_matching_steal(&FleetOptions {
             seed: 3,
-            tenants: 2,
+            tenants: 4,
             days: 1,
             checkpoint_every: 8,
             ..Default::default()
-        })
-        .expect_err("bsp has no delta chain to compact");
-        assert!(err.to_string().contains("--checkpoint-every"), "{err}");
+        });
+        let summary = fig.shared.faults.expect("checkpoint telemetry");
+        assert_eq!(summary.injected, 0);
+        assert!(summary.checkpoints > 0, "no checkpoints were recorded");
     }
 
     #[test]

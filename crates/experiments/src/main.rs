@@ -7,8 +7,8 @@
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 8 --snapshot-in fleet.snap --churn
 //! cargo run -p dejavu-experiments --release -- fleet --transport steal --threads 4
 //! cargo run -p dejavu-experiments --release -- fleet --obs --obs-out fleet-obs.json
-//! cargo run -p dejavu-experiments --release -- fleet --transport steal --faults 42 --checkpoint-every 8
-//! cargo run -p dejavu-experiments --release -- fleet --transport steal --checkpoint-dir fleet-ckpt/
+//! cargo run -p dejavu-experiments --release -- fleet --faults 42 --checkpoint-every 8
+//! cargo run -p dejavu-experiments --release -- fleet --checkpoint-dir fleet-ckpt/
 //! cargo run -p dejavu-experiments --release -- fleet --repo remote:127.0.0.1:7117
 //! ```
 
@@ -47,9 +47,8 @@ fn main() {
     // listing the valid choices.
     let mut transport_name: Option<String> = None;
     let mut threads: Option<usize> = None;
-    // `--faults SEED[:kind,...]` goes through the typed `FaultSpec::parse`
-    // and is checked against the resolved transport: malformed specs and
-    // fault injection on the BSP barrier are clear errors, not panics.
+    // `--faults SEED[:kind,...]` goes through the typed `FaultSpec::parse`:
+    // a malformed spec is a clear error, not a panic.
     let mut fault_spec: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
     let mut it = args.iter().peekable();
@@ -82,7 +81,7 @@ fn main() {
                 _ => {
                     eprintln!(
                         "--faults needs a schedule spec: \"SEED\" or \"SEED:kind,...\" \
-                         with kinds like 'crash', 'drop', 'shard-loss'"
+                         with kinds 'crash' and 'shard-loss'"
                     );
                     std::process::exit(2);
                 }
@@ -170,18 +169,13 @@ fn main() {
         std::process::exit(2);
     }
     if let Some(spec) = &fault_spec {
-        let spec = match FaultSpec::parse(spec) {
-            Ok(spec) => spec,
+        match FaultSpec::parse(spec) {
+            Ok(spec) => fleet_opts.faults = Some(spec),
             Err(e) => {
                 eprintln!("--faults: {e}");
                 std::process::exit(2);
             }
-        };
-        if let Err(e) = fleet_opts.transport.check_faults(&spec) {
-            eprintln!("--faults: {e}");
-            std::process::exit(2);
         }
-        fleet_opts.faults = Some(spec);
     }
     if targets.is_empty() || targets.iter().any(|t| t == "all") {
         targets = PAPER_ARTEFACTS.iter().map(|t| t.to_string()).collect();

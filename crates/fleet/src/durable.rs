@@ -3,8 +3,8 @@
 //! [`DurableCheckpointStore`] spills the delta-chain checkpoints of
 //! [`crate::snapshot`] to a checkpoint directory, so recovery survives
 //! *process* death, not just thread death — the substrate `dejavu-serve`
-//! boots from and the fleet committer writes through behind
-//! `--checkpoint-dir`.
+//! boots from and the fleet's commit point writes through behind
+//! `--checkpoint-dir`, on either transport.
 //!
 //! # Directory layout
 //!

@@ -214,11 +214,6 @@ impl RunState {
     pub fn is_done(&self) -> bool {
         self.tick_index >= self.ticks
     }
-
-    /// Ticks simulated so far.
-    pub fn ticks_completed(&self) -> usize {
-        self.tick_index
-    }
 }
 
 /// The simulation engine.

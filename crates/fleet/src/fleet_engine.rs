@@ -47,7 +47,7 @@
 //! per-tenant epochs-to-first-fleet-reuse and the fleet-wide hit-rate curve,
 //! which is how warm-start convergence is measured against cold starts.
 
-use crate::faults::{FaultInjector, FaultSpec};
+use crate::faults::FaultSpec;
 use crate::repo_client::RepositoryClient;
 use crate::report::{FleetReport, SharedRepoSnapshot, TenantOutcome};
 use crate::scenario::{EpochWindow, Scenario};
@@ -97,21 +97,22 @@ pub struct FleetConfig {
     /// [`SharedSignatureRepository::with_recorder`] if they want store-level
     /// probes too (clones share storage).
     pub recorder: Recorder,
-    /// Deterministic fault plan injected into the asynchronous transports
-    /// (`None` — the default — injects nothing and costs nothing). Requires
-    /// a shared-mode fleet on an async transport; see
-    /// [`TransportConfig::check_faults`].
+    /// Deterministic fault schedule (tenant crashes, shard losses) injected
+    /// into the run on either transport (`None` — the default — injects
+    /// nothing and costs nothing). Takes effect on a shared-mode fleet with
+    /// an in-process repository; elsewhere there is nothing to recover.
     pub faults: Option<FaultSpec>,
     /// Delta-checkpoint chain compaction cadence for fault-injected (or
-    /// checkpoint-profiled) runs: fold the chain every N checkpoints per
-    /// shard. 0 (the default) retains the full chain.
+    /// checkpoint-profiled) runs, on either transport: fold the chain every
+    /// N checkpoints per shard. 0 (the default) retains the full chain;
+    /// any N > 0 also turns checkpointing on without faults.
     pub checkpoint_every: usize,
     /// Spill the delta chain to a durable on-disk checkpoint store at this
-    /// directory (see `dejavu_fleet::durable`): every committer checkpoint
-    /// is crash-safe on disk before the commit acknowledges, and the
-    /// directory replays to the final repository state. `None` (the
-    /// default) keeps checkpoints in memory. Requires a shared-mode fleet
-    /// on an async transport with an in-process repository.
+    /// directory (see `dejavu_fleet::durable`), on either transport: every
+    /// commit's checkpoint is crash-safe on disk before the next epoch can
+    /// read it, and the directory replays to the final repository state.
+    /// `None` (the default) keeps checkpoints in memory. Takes effect on a
+    /// shared-mode fleet with an in-process repository.
     pub checkpoint_dir: Option<String>,
 }
 
@@ -295,7 +296,7 @@ impl FleetEngine {
                 origin_secs,
                 workers,
                 recorder: &self.config.recorder,
-                faults: FaultInjector::from_spec(self.config.faults),
+                faults: self.config.faults.map(FaultSpec::plan),
                 checkpoint_every: self.config.checkpoint_every,
                 checkpoint_dir: self.config.checkpoint_dir.as_deref(),
                 respawn,

@@ -66,7 +66,7 @@ pub use durable::{
     RecoveryReport, BASE_FILE, DURABLE_MANIFEST_VERSION, MANIFEST_FILE,
 };
 pub use engine::{RunConfig, RunResult, RunState, SimulationEngine};
-pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultSpecError};
+pub use faults::{FaultKind, FaultPlan, FaultSpec, FaultSpecError};
 pub use fleet_engine::{FleetConfig, FleetEngine, SharingMode};
 pub use repo_client::RepositoryClient;
 pub use report::{FleetReport, SharedRepoSnapshot, TenantOutcome};

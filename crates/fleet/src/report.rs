@@ -230,19 +230,9 @@ impl FleetReport {
             push(
                 &mut out,
                 format!(
-                    "    crashes {} (replayed {} epochs)  drops {}  dups {}  reorders {}",
+                    "    crashes {} (replayed {} epochs)  shard losses {}  checkpoints {} ({} compactions, chain peak {})",
                     faults.tenants_crashed,
                     faults.replayed_epochs,
-                    faults.reports_dropped,
-                    faults.reports_duplicated,
-                    faults.reports_reordered,
-                ),
-            );
-            push(
-                &mut out,
-                format!(
-                    "    committer restarts {}  shard losses {}  checkpoints {} ({} compactions, chain peak {})",
-                    faults.committer_restarts,
                     faults.shard_losses,
                     faults.checkpoints,
                     faults.compactions,
@@ -398,17 +388,18 @@ mod tests {
         let mut r = empty_report(SharingMode::Shared);
         assert!(!r.render().contains("recovery"));
         r.faults = Some(FaultSummary {
-            spec: "7:crash,drop".into(),
+            spec: "7:crash".into(),
             injected: 3,
             tenants_crashed: 1,
-            reports_dropped: 2,
+            shard_losses: 2,
             replayed_epochs: 4,
             checkpoints: 9,
             ..FaultSummary::default()
         });
         let text = r.render();
         assert!(text.contains("recovery"));
-        assert!(text.contains("7:crash,drop"));
+        assert!(text.contains("7:crash"));
+        assert!(text.contains("shard losses 2"));
         assert!(text.contains("3 faults injected"));
         assert!(text.contains("replayed 4 epochs"));
     }

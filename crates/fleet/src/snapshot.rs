@@ -857,11 +857,10 @@ pub fn apply_chain(
     Ok(snapshot)
 }
 
-/// The recovery substrate of the fault-tolerant transports: one base
-/// snapshot plus a per-shard chain of epoch deltas, with bounded-length
-/// compaction.
+/// The recovery substrate of both transports: one base snapshot plus a
+/// per-shard chain of epoch deltas, with bounded-length compaction.
 ///
-/// The committer [`record`](CheckpointStore::record)s one delta per
+/// The commit point [`record`](CheckpointStore::record)s one delta per
 /// `(shard, epoch)` commit; recovery [`materialize`](CheckpointStore::materialize)s
 /// the repository image at any retained epoch frontier (crash replay, shard
 /// re-seed). Chains are kept short by folding deltas into a per-shard

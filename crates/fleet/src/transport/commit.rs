@@ -5,10 +5,10 @@
 
 use super::channel;
 use super::pool::{Doorbell, TaskQueue};
-use super::recovery::{FaultDomain, FaultyInbox};
+use super::recovery::FaultDomain;
 use super::{commit_epoch, hit_rate, FleetContext, TransportOutcome};
 use crate::shared_repo::PendingOp;
-use dejavu_obs::{Event, Recorder};
+use dejavu_obs::Event;
 use std::sync::Mutex;
 
 /// The per-shard commit frontiers: how many epochs each shard has fully
@@ -126,10 +126,8 @@ impl Drop for PoisonOnDrop<'_> {
     }
 }
 
-/// One tenant's end-of-epoch report to the committer. `Clone` so a
-/// restart-tolerant committer can retain delivered reports for re-assembly
-/// (and the fault injector can duplicate one in flight).
-#[derive(Clone)]
+/// One tenant's end-of-epoch report to the committer. Each `(tenant,
+/// epoch)` report is sent exactly once.
 pub(super) struct EpochReport {
     pub(super) tenant: usize,
     pub(super) epoch: usize,
@@ -153,54 +151,6 @@ pub(super) struct EpochReport {
 /// the committer. Receivers unpack a batch report by report.
 pub(super) type ReportBatch = Vec<EpochReport>;
 
-/// The committer's report source: the raw channel (with the rest of the
-/// batch being unpacked), or the fault-injecting wrapper.
-enum Inbox<'a> {
-    Plain {
-        rx: &'a channel::Receiver<ReportBatch>,
-        unpacking: std::vec::IntoIter<EpochReport>,
-    },
-    Faulty(FaultyInbox<'a>),
-}
-
-impl<'a> Inbox<'a> {
-    /// The inbox of one drive: fault-injecting when the domain's plan is
-    /// live, the raw channel otherwise.
-    fn new(
-        rx: &'a channel::Receiver<ReportBatch>,
-        domain: Option<&'a FaultDomain<'_>>,
-        recorder: &'a Recorder,
-    ) -> Self {
-        match domain.and_then(|domain| domain.faulty_inbox(rx, recorder)) {
-            Some(inbox) => Inbox::Faulty(inbox),
-            None => Inbox::Plain {
-                rx,
-                unpacking: Vec::new().into_iter(),
-            },
-        }
-    }
-
-    /// The next report; `block` waits for one, otherwise only what has
-    /// already been delivered is returned. `None` when blocking means every
-    /// sender is gone.
-    fn next(&mut self, block: bool) -> Option<EpochReport> {
-        match self {
-            Inbox::Plain { rx, unpacking } => loop {
-                if let Some(report) = unpacking.next() {
-                    return Some(report);
-                }
-                let batch = if block {
-                    rx.recv()?
-                } else {
-                    rx.try_recv().ok()?
-                };
-                *unpacking = batch.into_iter();
-            },
-            Inbox::Faulty(inbox) => inbox.next(block),
-        }
-    }
-}
-
 /// The committer of the asynchronous transport, with **per-shard commit
 /// frontiers**: epoch reports arrive over the channel, and a
 /// `(shard, epoch)` batch commits — in tenant order, followed by the
@@ -220,14 +170,10 @@ impl<'a> Inbox<'a> {
 /// un-parks go back onto the pool's injector, followed by one ring of its
 /// doorbell.
 ///
-/// Reports are admitted **idempotently** (each `(tenant, epoch)` counts
-/// once, so duplicated or reordered deliveries are safe by construction).
-/// Under a fault domain the committer additionally runs the domain's
-/// checkpoint step after every commit ([`FaultDomain::checkpoint_commit`])
-/// and survives its own injected **restarts** — all volatile assembly state
-/// is rebuilt from first principles plus the retained already-delivered
-/// reports, exactly what a failover committer would re-assemble from
-/// re-sent reports.
+/// Each `(tenant, epoch)` report arrives exactly once; a second delivery is
+/// a broken invariant and panics. Under a fault domain the committer runs
+/// the domain's checkpoint step after every commit
+/// ([`FaultDomain::checkpoint_commit`]).
 pub(super) struct Committer<'a, 'h> {
     ctx: &'a FleetContext<'h>,
     windows: &'a [(usize, usize)],
@@ -238,11 +184,8 @@ pub(super) struct Committer<'a, 'h> {
     doorbell: &'a Doorbell,
     domain: Option<&'a FaultDomain<'h>>,
     epochs: usize,
-    /// How many tenants the nominal tenancy windows promise each
-    /// `(epoch, shard)` — the pristine ledger restarts rebuild from.
-    nominal: Vec<Vec<usize>>,
-    /// `nominal` adjusted for early retirements and tenant deaths: how many
-    /// reports each `(epoch, shard)` still waits for before committing.
+    /// How many reports each `(epoch, shard)` waits for before committing:
+    /// the tenancy windows' count, less early retirements and tenant deaths.
     expected: Vec<Vec<usize>>,
     received: Vec<Vec<usize>>,
     pending: Vec<Vec<Vec<EpochReport>>>,
@@ -250,23 +193,18 @@ pub(super) struct Committer<'a, 'h> {
     /// hit-rate curve) once the whole epoch has committed across shards.
     epoch_stats: Vec<Vec<(usize, u64, u64)>>,
     cached: Vec<(u64, u64)>,
-    /// Per shard: the next epoch whose batch has not committed yet. This is
-    /// the committer's only *durable* state — everything else is rebuilt on
-    /// an injected restart.
+    /// Per shard: the next epoch whose batch has not committed yet.
     shard_next: Vec<usize>,
     completed: usize,
-    /// Per tenant: the epoch of its early `last` report, if any — the guard
-    /// that keeps the expected-count adjustment idempotent under duplicated
-    /// deliveries and restart re-admission.
+    /// Per tenant: the epoch of its `last` report, once it arrived. A
+    /// tenant that reported its last epoch has no slots left to release, so
+    /// an abort notice after it changes nothing.
     early_last: Vec<Option<usize>>,
     /// Per tenant: the epoch at which it aborted (panicked), if any.
     failed: Vec<Option<usize>>,
-    /// Per `(tenant, epoch)`: whether a report was already admitted — the
-    /// sequence-number dedup that makes commit idempotent.
+    /// Per `(tenant, epoch)`: whether a report was already admitted, so a
+    /// second delivery is caught instead of committed twice.
     enqueued: Vec<Vec<bool>>,
-    /// Uncommitted delivered reports, kept only when committer restarts are
-    /// being injected: the re-sent-report pool a failover re-assembles from.
-    retained: Vec<EpochReport>,
     /// Shards whose readiness may have changed. Seeded with every shard:
     /// epochs expecting no reports from a shard (no tenant routes there, or
     /// everyone already retired) commit empty batches immediately — their
@@ -292,9 +230,9 @@ impl<'a, 'h> Committer<'a, 'h> {
     ) -> Self {
         let epochs = ctx.epochs();
         let shards = ctx.shard_count();
-        let mut nominal = vec![vec![0usize; shards]; epochs];
+        let mut expected = vec![vec![0usize; shards]; epochs];
         for (tenant, &(start, end)) in windows.iter().enumerate() {
-            for slot in &mut nominal[start.min(epochs)..end.min(epochs)] {
+            for slot in &mut expected[start.min(epochs)..end.min(epochs)] {
                 slot[tenant_shard[tenant]] += 1;
             }
         }
@@ -307,8 +245,7 @@ impl<'a, 'h> Committer<'a, 'h> {
             doorbell,
             domain,
             epochs,
-            expected: nominal.clone(),
-            nominal,
+            expected,
             received: vec![vec![0usize; shards]; epochs],
             pending: (0..epochs)
                 .map(|_| (0..shards).map(|_| Vec::new()).collect())
@@ -320,7 +257,6 @@ impl<'a, 'h> Committer<'a, 'h> {
             early_last: vec![None; windows.len()],
             failed: vec![None; windows.len()],
             enqueued: vec![vec![false; epochs]; windows.len()],
-            retained: Vec::new(),
             work: (0..shards).collect(),
             scratch_ops: Vec::new(),
             scratch_tenants: Vec::new(),
@@ -328,7 +264,6 @@ impl<'a, 'h> Committer<'a, 'h> {
     }
 
     pub(super) fn run(mut self, rx: &channel::Receiver<ReportBatch>, out: &mut TransportOutcome) {
-        let mut inbox = Inbox::new(rx, self.domain, self.ctx.recorder());
         let recorder = self.ctx.recorder();
         // Fold-to-fold wall time per fleet-wide epoch (the async analogue of
         // the barrier's per-epoch wall clock).
@@ -353,41 +288,30 @@ impl<'a, 'h> Committer<'a, 'h> {
                     epoch: folded as u64,
                 });
                 self.completed += 1;
-                if self
-                    .domain
-                    .is_some_and(|domain| domain.inject_committer_restart(folded, recorder))
-                {
-                    self.restart(out);
-                }
             }
             if self.completed >= self.epochs {
                 return;
             }
-            if !self.work.is_empty() {
-                // A restart re-admitted reports; drain them before blocking
-                // on the channel (which may already be empty and closed).
-                continue;
-            }
-            let Some(report) = inbox.next(true) else {
+            let Some(batch) = rx.recv() else {
                 panic!(
                     "async transport lost epoch reports ({} of {} epochs committed)",
                     self.completed, self.epochs
                 );
             };
-            self.admit(report, out);
             // Admit everything already delivered before the next commit
             // pass, so a burst of reports costs one pass over the ready
             // shards, not one per report.
-            while let Some(report) = inbox.next(false) {
-                self.admit(report, out);
+            for batch in std::iter::once(batch).chain(std::iter::from_fn(|| rx.try_recv().ok())) {
+                for report in batch {
+                    self.admit(report, out);
+                }
             }
         }
     }
 
-    /// Admits one delivered report: dedups by `(tenant, epoch)` (the
-    /// idempotence that makes duplicated and reordered deliveries safe),
-    /// handles abort notices by releasing the dead tenant's future slots,
-    /// and queues the report for its shard's commit.
+    /// Admits one delivered report: handles abort notices by releasing the
+    /// dead tenant's future slots, and queues any other report for its
+    /// shard's commit.
     fn admit(&mut self, report: EpochReport, out: &mut TransportOutcome) {
         let tenant = report.tenant;
         let shard = self.tenant_shard[tenant];
@@ -406,9 +330,11 @@ impl<'a, 'h> Committer<'a, 'h> {
             }
             return;
         }
-        if report.epoch >= self.epochs || self.enqueued[tenant][report.epoch] {
-            return; // duplicate delivery: already admitted once
-        }
+        assert!(
+            !self.enqueued[tenant][report.epoch],
+            "tenant {tenant}'s epoch-{} report was delivered twice",
+            report.epoch
+        );
         self.enqueued[tenant][report.epoch] = true;
         if report.last && self.early_last[tenant].is_none() {
             // The tenant retired before its nominal window end: its shard's
@@ -418,9 +344,6 @@ impl<'a, 'h> Committer<'a, 'h> {
             for slot in &mut self.expected[lo..nominal_end] {
                 slot[shard] -= 1;
             }
-        }
-        if self.domain.is_some_and(FaultDomain::retains_reports) {
-            self.retained.push(report.clone());
         }
         self.received[report.epoch][shard] += 1;
         self.pending[report.epoch][shard].push(report);
@@ -472,13 +395,6 @@ impl<'a, 'h> Committer<'a, 'h> {
                     self.epoch_stats[epoch].push((report.tenant, report.hits, report.misses));
                 }
                 self.shard_next[shard] = epoch + 1;
-                if !self.retained.is_empty() {
-                    // Committed reports are durable; only uncommitted ones
-                    // need re-assembly after a restart.
-                    let tenant_shard = self.tenant_shard;
-                    self.retained
-                        .retain(|r| !(r.epoch == epoch && tenant_shard[r.tenant] == shard));
-                }
                 if let Some(domain) = self.domain {
                     domain.checkpoint_commit(shard, epoch, recorder);
                 }
@@ -510,48 +426,6 @@ impl<'a, 'h> Committer<'a, 'h> {
             }
         }
     }
-
-    /// An injected committer crash-and-failover: every piece of volatile
-    /// assembly state (expected counts, received counts, pending batches,
-    /// dedup bits) is discarded and rebuilt from the nominal windows, the
-    /// durable per-shard frontiers, the early-retirement/death ledgers, and
-    /// the retained (conceptually re-sent) reports. Committed state — the
-    /// shared store, the checkpoint chains, `shard_next` — survives, exactly
-    /// as a real failover inherits the durable log but not the assembler's
-    /// memory.
-    fn restart(&mut self, out: &mut TransportOutcome) {
-        let shards = self.shard_next.len();
-        for shard in 0..shards {
-            for e in self.shard_next[shard]..self.epochs {
-                self.received[e][shard] = 0;
-                self.pending[e][shard].clear();
-                self.expected[e][shard] = self.nominal[e][shard];
-            }
-        }
-        for tenant in 0..self.windows.len() {
-            let shard = self.tenant_shard[tenant];
-            let nominal_end = self.windows[tenant].1.min(self.epochs);
-            // Re-apply what `admit` took off the ledger: an early retiree is
-            // not expected after its last epoch, a dead tenant from its abort.
-            let retired = self.early_last[tenant].map(|last| last + 1);
-            let died = self.failed[tenant].map(|failed| failed.max(self.windows[tenant].0));
-            for lo in retired.into_iter().chain(died) {
-                for e in lo.max(self.shard_next[shard])..nominal_end {
-                    self.expected[e][shard] -= 1;
-                }
-            }
-            for e in self.shard_next[shard]..self.epochs {
-                self.enqueued[tenant][e] = false;
-            }
-        }
-        // Re-assemble from the retained pool — the reports tenants would
-        // re-send to a failover committer. `admit` re-retains each one, so a
-        // second restart can re-assemble again.
-        for report in std::mem::take(&mut self.retained) {
-            self.admit(report, out);
-        }
-        self.work.extend(0..shards);
-    }
 }
 
 #[cfg(test)]
@@ -573,9 +447,9 @@ impl EpochReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultInjector;
     use crate::repo_client::RepositoryClient;
     use crate::shared_repo::{SharedRepoConfig, SharedSignatureRepository};
+    use dejavu_obs::Recorder;
     use std::sync::Arc;
 
     #[test]
@@ -645,7 +519,7 @@ mod tests {
                 origin_secs: 0.0,
                 workers: 1,
                 recorder: &self.recorder,
-                faults: FaultInjector::disabled(),
+                faults: None,
                 checkpoint_every: 0,
                 checkpoint_dir: None,
                 respawn: None,
@@ -697,6 +571,17 @@ mod tests {
         fleet.committer(&ctx).run(&rx, &mut out);
         assert_eq!(out.failed, vec![None, Some(2)]);
         assert_eq!(out.hit_rate_curve.len(), 3, "every epoch folded");
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant 1's epoch-0 report was delivered twice")]
+    fn a_report_delivered_twice_is_a_broken_invariant() {
+        let fleet = TwoTenants::new(2);
+        let ctx = fleet.context();
+        let mut committer = fleet.committer(&ctx);
+        let mut out = TransportOutcome::new("test".to_string(), 2);
+        committer.admit(EpochReport::bare(1, 0, false), &mut out);
+        committer.admit(EpochReport::bare(1, 0, false), &mut out);
     }
 
     #[test]

@@ -41,11 +41,18 @@
 //! report. Commit order depends on report contents and tenant order, never
 //! on arrival order, so the grouping is invisible in the results.
 //!
-//! The asynchronous side is split along its seams: `commit` holds the
-//! frontiers, the report types and the committer; `channel` carries the
-//! reports; `pool` the scheduler (task queue, doorbell, tenant tasks,
-//! workers); `recovery` the fault/checkpoint domain the other two call into
-//! when one is configured.
+//! Both transports share one fault model: `recovery` holds the fault and
+//! checkpoint domain (tenant crashes with deterministic replay, shard loss
+//! with warm re-seeding, delta checkpoints on disk or in memory). Each
+//! transport steps its tenants through `recovery::step_tenant` and hands
+//! every committed `(shard, epoch)` to the domain's checkpoint step — the
+//! barrier once per epoch after its sweep, the pool's committer after each
+//! shard batch — so a fault schedule injects the same faults, and recovers
+//! to the same bits, on either one.
+//!
+//! The pool is split along its seams: `commit` holds the frontiers, the
+//! report types and the committer; `channel` carries the reports; `pool`
+//! the scheduler (task queue, doorbell, tenant tasks, workers).
 
 mod channel;
 mod commit;
@@ -55,9 +62,10 @@ mod recovery;
 pub use pool::WorkStealing;
 #[cfg(test)]
 pub(crate) use pool::REPORT_BATCH_CAP;
+use recovery::{fault_domain, step_tenant, summarize_faults};
 
 use crate::engine::{RunState, SimulationEngine};
-use crate::faults::{FaultInjector, FaultSpec, FaultSpecError};
+use crate::faults::FaultPlan;
 use crate::repo_client::RepositoryClient;
 use crate::shared_repo::{PendingOp, SharedSignatureRepository};
 use dejavu_baselines::{FixedMax, RightScale};
@@ -289,12 +297,12 @@ pub struct FleetContext<'a> {
     origin_secs: f64,
     workers: usize,
     recorder: &'a Recorder,
-    /// The seeded fault injector (the always-benign no-op by default).
-    faults: FaultInjector,
+    /// The seeded fault schedule (`None`, the default, injects nothing).
+    faults: Option<FaultPlan>,
     /// Delta-chain compaction cadence (0 = retain the full chain).
     checkpoint_every: usize,
     /// Spill the delta chain to a durable on-disk store at this directory
-    /// (committer writes become crash-safe; `None` = in-memory only).
+    /// (every commit's checkpoint is crash-safe; `None` = in-memory only).
     checkpoint_dir: Option<&'a str>,
     /// Crash-recovery respawn hook; `None` when tenants are isolated.
     respawn: Option<&'a RespawnFn<'a>>,
@@ -375,7 +383,7 @@ pub struct FleetHarness<'a> {
     pub(crate) origin_secs: f64,
     pub(crate) workers: usize,
     pub(crate) recorder: &'a Recorder,
-    pub(crate) faults: FaultInjector,
+    pub(crate) faults: Option<FaultPlan>,
     pub(crate) checkpoint_every: usize,
     pub(crate) checkpoint_dir: Option<&'a str>,
     pub(crate) respawn: Option<&'a RespawnFn<'a>>,
@@ -448,7 +456,8 @@ impl TransportSummary {
 /// recovering cost — carried into [`crate::FleetReport`] and rendered as its
 /// "recovery" section. Counters are plain (non-recorder) tallies, so they are
 /// reported identically with observability on or off; they are a pure
-/// function of the fault plan and the scenario, hence deterministic.
+/// function of the fault plan and the scenario, hence deterministic and
+/// equal on both transports.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultSummary {
     /// The rendered fault spec (`"SEED:kind,…"`), empty for
@@ -458,14 +467,6 @@ pub struct FaultSummary {
     pub injected: u64,
     /// Tenants crashed (and recovered) mid-epoch.
     pub tenants_crashed: u64,
-    /// Epoch reports dropped in flight (then retransmitted).
-    pub reports_dropped: u64,
-    /// Epoch reports delivered twice.
-    pub reports_duplicated: u64,
-    /// Epoch reports delayed past later arrivals.
-    pub reports_reordered: u64,
-    /// Committer restarts (volatile assembly state lost and re-assembled).
-    pub committer_restarts: u64,
     /// Shards wiped and warm re-seeded from their delta chains.
     pub shard_losses: u64,
     /// Epochs deterministically replayed by crashed tenants.
@@ -580,20 +581,6 @@ impl TransportConfig {
         }
         Ok(transport)
     }
-
-    /// Whether this backend can host the given fault plan. The BSP barrier
-    /// has no report channel, no committer process and no frontier to
-    /// recover — fault injection is an asynchronous-transport concept — so
-    /// requesting faults under `bsp` is a configuration error, caught here
-    /// (typed) instead of silently injecting nothing.
-    pub fn check_faults(&self, _spec: &FaultSpec) -> Result<(), FaultSpecError> {
-        match self {
-            TransportConfig::Bsp => Err(FaultSpecError::BackendUnsupported {
-                backend: "bsp".to_string(),
-            }),
-            TransportConfig::WorkStealing { .. } => Ok(()),
-        }
-    }
 }
 
 fn hit_rate(hits: u64, misses: u64) -> f64 {
@@ -651,7 +638,8 @@ pub(crate) const BARRIER_BLOCK: usize = 16;
 /// scheduler and cannot reach the result: a tenant reads only the frozen
 /// store and writes only its own outbox. At the epoch barrier the
 /// outboxes are drained **in tenant order**, applied through one batched
-/// commit per shard, and the TTL sweep runs. Mid-epoch the shared store never
+/// commit per shard, and the TTL sweep runs; under a fault or checkpoint
+/// configuration every shard then checkpoints. Mid-epoch the shared store never
 /// changes and commits have a fixed order, so the fleet result is a pure
 /// function of the scenario — it does not depend on thread count or OS
 /// scheduling.
@@ -666,6 +654,8 @@ impl CommitTransport for BspBarrier {
     fn drive(&self, harness: &mut FleetHarness<'_>) -> TransportOutcome {
         let (ctx, mut handles) = harness.split();
         let mut out = TransportOutcome::new(self.name(), handles.len());
+        let domain = fault_domain(&ctx, &handles);
+        let domain_ref = domain.as_ref();
         let blocks_per_epoch = handles.len().div_ceil(BARRIER_BLOCK);
         let workers = ctx.workers.clamp(1, blocks_per_epoch.max(1));
         let recorder = ctx.recorder();
@@ -685,7 +675,8 @@ impl CommitTransport for BspBarrier {
             // drew cache hits. A panicking tenant (service model or poisoned
             // outbox) is caught on its worker, retired at this barrier and
             // surfaced in the outcome — the rest of the fleet finishes its
-            // run.
+            // run. A tenant the fault plan crashes this epoch is recovered
+            // on its worker before it steps.
             let blocks = Mutex::new(handles.chunks_mut(BARRIER_BLOCK));
             let next_block = || blocks.lock().expect("block queue poisoned").next();
             let failed_now: Vec<usize> = std::thread::scope(|scope| {
@@ -697,7 +688,7 @@ impl CommitTransport for BspBarrier {
                             while let Some(block) = next_block() {
                                 for handle in block {
                                     if catch_unwind(AssertUnwindSafe(|| {
-                                        handle.step_epoch(epoch, &ctx)
+                                        step_tenant(&ctx, domain_ref, handle, epoch)
                                     }))
                                     .is_err()
                                     {
@@ -750,6 +741,13 @@ impl CommitTransport for BspBarrier {
             }
             let reclaimed = ctx.sweep(epoch);
             recorder.with(|m| m.sweep_reclaimed.add(reclaimed));
+            // Checkpoint every shard at this commit point, where a planned
+            // shard loss also strikes — before any tenant reads the epoch.
+            if let Some(domain) = domain_ref {
+                for shard in 0..ctx.shard_count() {
+                    domain.checkpoint_commit(shard, epoch, recorder);
+                }
+            }
 
             // Convergence bookkeeping, then barrier-aligned retirement.
             let mut hits = 0u64;
@@ -773,6 +771,9 @@ impl CommitTransport for BspBarrier {
             recorder.event(|| Event::EpochCommit {
                 epoch: epoch as u64,
             });
+        }
+        if let Some(domain) = domain {
+            out.faults = Some(summarize_faults(domain));
         }
         out
     }
@@ -811,17 +812,5 @@ mod tests {
             let quoted: Vec<&str> = err.split('\'').skip(1).step_by(2).collect();
             assert_eq!(quoted, [unknown, "bsp", "steal"], "{err}");
         }
-    }
-
-    #[test]
-    fn fault_injection_is_rejected_on_bsp_and_accepted_on_the_pool() {
-        let spec = FaultSpec::parse("7:crash,drop").expect("valid spec");
-        assert_eq!(
-            TransportConfig::Bsp.check_faults(&spec),
-            Err(FaultSpecError::BackendUnsupported {
-                backend: "bsp".to_string()
-            })
-        );
-        assert_eq!(POOL.check_faults(&spec), Ok(()));
     }
 }

@@ -5,7 +5,7 @@
 
 use super::channel;
 use super::commit::{Committer, EpochReport, PoisonOnDrop, ReportBatch, ShardFrontiers};
-use super::recovery::{crash_and_recover, fault_domain, summarize_faults, FaultDomain};
+use super::recovery::{fault_domain, step_tenant, summarize_faults, FaultDomain};
 use super::{CommitTransport, FleetContext, FleetHarness, TenantHandle, TransportOutcome};
 use dejavu_obs::{Event, Recorder};
 use std::collections::VecDeque;
@@ -152,9 +152,6 @@ impl Drop for AbortOnDrop<'_> {
 struct TenantTask<'a> {
     handle: TenantHandle<'a>,
     next_epoch: usize,
-    /// Whether this tenant's scheduled crash already fired (the re-executed
-    /// crash epoch must not re-trigger it).
-    crashed: bool,
 }
 
 /// How many finished reports a pool worker holds before it sends them no
@@ -326,20 +323,7 @@ impl<'h> StealPool<'_, 'h> {
                 armed: true,
             };
             let stepped = catch_unwind(AssertUnwindSafe(|| {
-                if !task.crashed {
-                    if let Some(domain) = self.domain {
-                        let (start, end) = self.windows[tenant];
-                        if self.ctx.faults.crash_epoch(tenant, start, end) == Some(epoch) {
-                            task.crashed = true;
-                            // The doomed attempt: mid-epoch work that dies
-                            // with the crash, publishes and all.
-                            task.handle.step_epoch(epoch, self.ctx);
-                            let _ = task.handle.drain_outbox();
-                            crash_and_recover(self.ctx, domain, &mut task.handle, epoch);
-                        }
-                    }
-                }
-                task.handle.step_epoch(epoch, self.ctx);
+                step_tenant(self.ctx, self.domain, &mut task.handle, epoch);
                 task.handle.observe_reuse(epoch);
                 task.handle.drain_outbox()
             }));
@@ -431,7 +415,7 @@ impl CommitTransport for WorkStealing {
             .collect();
         let threads = self.threads.clamp(1, tenant_count);
         let frontiers = ShardFrontiers::new(ctx.shard_count());
-        let domain = fault_domain(&ctx, &windows, &tenant_shard);
+        let domain = fault_domain(&ctx, &handles);
         let domain_ref = domain.as_ref();
         let queue = TaskQueue::new(threads);
         let doorbell = Doorbell::default();
@@ -446,7 +430,6 @@ impl CommitTransport for WorkStealing {
                 let task = (start < end).then_some(TenantTask {
                     handle,
                     next_epoch: start,
-                    crashed: false,
                 });
                 if task.is_some() {
                     active += 1;

@@ -1,32 +1,29 @@
-//! The fault/recovery domain of an asynchronous drive: the seeded fault
-//! plan, the checkpoint store the committer writes through, the faulty
-//! report channel, and tenant crash recovery. Built only when fault
-//! injection or checkpointing is configured; the committer and the pool call
-//! into it directly when it is.
+//! The fault/recovery domain of a drive, shared by both transports: the
+//! seeded fault plan, the checkpoint store every commit writes through,
+//! tenant crash recovery and shard-loss re-seeding. Built only when fault
+//! injection or checkpointing is configured. A transport steps each tenant
+//! through [`step_tenant`], which runs a scheduled crash and its recovery
+//! first, and calls [`FaultDomain::checkpoint_commit`] once per committed
+//! `(shard, epoch)`: the barrier after its sweep, the pool's committer after
+//! each shard batch.
 
-use super::channel;
-use super::commit::{EpochReport, ReportBatch};
 use super::{FaultSummary, FleetContext, RespawnFn, TenantHandle};
 use crate::durable::{DurableCheckpointStore, RecordReceipt};
-use crate::faults::{FaultInjector, FaultKind, FaultSpec};
+use crate::faults::FaultPlan;
 use crate::shared_repo::{DeltaCursor, SharedSignatureRepository};
 use crate::snapshot::{CheckpointStore, DeltaSnapshot};
 use crate::tenant_view::TenantRepoView;
 use dejavu_obs::{Event, Recorder};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Lock-free fault/recovery tallies, incremented from pool workers and the
-/// committer alike; folded into the [`FaultSummary`] once the drive finishes.
+/// Lock-free fault/recovery tallies, incremented from whichever thread
+/// steps or commits; folded into the [`FaultSummary`] once the drive
+/// finishes.
 #[derive(Default)]
 struct FaultTallies {
     injected: AtomicU64,
     tenants_crashed: AtomicU64,
-    reports_dropped: AtomicU64,
-    reports_duplicated: AtomicU64,
-    reports_reordered: AtomicU64,
-    committer_restarts: AtomicU64,
     shard_losses: AtomicU64,
     replayed_epochs: AtomicU64,
 }
@@ -89,17 +86,18 @@ impl CheckpointSink {
     }
 }
 
-/// The fault/recovery domain of one asynchronous drive: the seeded injector,
+/// The fault/recovery domain of one drive: the seeded fault plan,
 /// the checkpoint store (run-start base snapshot plus per-shard delta
 /// chains, optionally written through to disk), the respawn hook recovery
 /// rebuilds crashed tenants through, and the shared tallies. Built once per
 /// drive when fault injection, checkpointing or a checkpoint directory is
 /// configured; absent (and costing nothing) otherwise.
 pub(super) struct FaultDomain<'h> {
-    injector: FaultInjector,
+    /// The fault schedule; `None` on a checkpoint-only drive.
+    plan: Option<FaultPlan>,
     store: Mutex<CheckpointSink>,
-    /// Per-shard change cursors for delta capture. Only the committer
-    /// captures; the mutex is what lets pool workers share the domain.
+    /// Per-shard change cursors for delta capture. Only the commit point
+    /// captures; the mutex is what lets stepping threads share the domain.
     cursors: Mutex<Vec<DeltaCursor>>,
     respawn: &'h RespawnFn<'h>,
     shared_arc: &'h Arc<SharedSignatureRepository>,
@@ -126,29 +124,10 @@ impl FaultDomain<'_> {
             .unwrap_or(usize::MAX)
     }
 
-    /// The fault-injecting report channel of this drive, when the plan is
-    /// live (a checkpoint-only domain reads the raw channel).
-    pub(super) fn faulty_inbox<'a>(
-        &'a self,
-        rx: &'a channel::Receiver<ReportBatch>,
-        recorder: &'a Recorder,
-    ) -> Option<FaultyInbox<'a>> {
-        self.injector
-            .enabled()
-            .then(|| FaultyInbox::new(rx, self.injector, &self.tallies, recorder))
-    }
-
-    /// Whether the plan can restart the committer, which must then retain
-    /// the reports it was delivered to re-assemble from.
-    pub(super) fn retains_reports(&self) -> bool {
-        let spec = self.injector.spec();
-        spec.is_some_and(|spec| spec.enables(FaultKind::CommitterRestart))
-    }
-
-    /// The committer's checkpoint step for the `(shard, epoch)` batch it just
-    /// applied and swept, run before the shard's frontier advances: captures
-    /// the commit's delta into the store and, on an injected shard loss,
-    /// wipes the shard and warm re-seeds it from the chain.
+    /// The checkpoint step for the `(shard, epoch)` batch just applied and
+    /// swept, run before any tenant can enter the shard's next epoch:
+    /// captures the commit's delta into the store and, on an injected shard
+    /// loss, wipes the shard and warm re-seeds it from the chain.
     pub(super) fn checkpoint_commit(&self, shard: usize, epoch: usize, recorder: &Recorder) {
         // Checkpoint at the commit boundary: the delta captures exactly this
         // commit (batch + sweep), because tenants never mutate the shared
@@ -181,10 +160,10 @@ impl FaultDomain<'_> {
                 });
             }
         }
-        if self.injector.shard_loss(shard, epoch) {
+        if self.plan.is_some_and(|plan| plan.shard_loss(shard, epoch)) {
             // Shard-level repository loss: wipe the shard and warm re-seed
-            // it from the delta chain — before the frontier advances, so no
-            // tenant can observe the gap.
+            // it from the delta chain — before any tenant enters the shard's
+            // next epoch, so no tenant can observe the gap.
             self.tallies.fault(&self.tallies.shard_losses);
             recorder.with(|m| m.faults_injected.inc());
             let image = self
@@ -200,36 +179,17 @@ impl FaultDomain<'_> {
             recorder.with(|m| m.recoveries.inc());
         }
     }
-
-    /// Injects the plan's committer crash, if it has one for the fold of
-    /// `epoch`: counts and records the fault, and returns whether the
-    /// committer must now discard and re-assemble its volatile state.
-    pub(super) fn inject_committer_restart(&self, epoch: usize, recorder: &Recorder) -> bool {
-        if !self.injector.committer_restart(epoch) {
-            return false;
-        }
-        self.tallies.fault(&self.tallies.committer_restarts);
-        recorder.with(|m| {
-            m.faults_injected.inc();
-            m.committer_restarts.inc();
-        });
-        recorder.event(|| Event::CommitterRestart {
-            epoch: epoch as u64,
-        });
-        true
-    }
 }
 
-/// Builds the fault domain of one async drive, or `None` when neither fault
+/// Builds the fault domain of one drive, or `None` when neither fault
 /// injection nor checkpointing is configured (or the fleet has no respawn
 /// path, i.e. isolated tenants).
 pub(super) fn fault_domain<'h>(
     ctx: &FleetContext<'h>,
-    windows: &[(usize, usize)],
-    tenant_shard: &[usize],
+    handles: &[TenantHandle<'_>],
 ) -> Option<FaultDomain<'h>> {
-    let injector = ctx.faults;
-    if !injector.enabled() && ctx.checkpoint_every == 0 && ctx.checkpoint_dir.is_none() {
+    let plan = ctx.faults;
+    if plan.is_none() && ctx.checkpoint_every == 0 && ctx.checkpoint_dir.is_none() {
         return None;
     }
     let respawn = ctx.respawn?;
@@ -237,9 +197,8 @@ pub(super) fn fault_domain<'h>(
     // repository's snapshot surface; a remote client has none.
     let concrete = ctx.concrete?;
     // The base image and the capture cursors both anchor at this quiescent
-    // point — nothing mutates the shared repository before the committer
-    // applies the first batch — so the first captured delta covers exactly
-    // the first commit.
+    // point — nothing mutates the shared repository before the first batch
+    // commits — so the first captured delta covers exactly the first commit.
     let cursors = (0..ctx.shard_count()).map(|shard| {
         let mut cursor = DeltaCursor::default();
         concrete.prime_delta_cursor(shard, &mut cursor);
@@ -262,18 +221,18 @@ pub(super) fn fault_domain<'h>(
     };
     // Compaction must never fold an epoch a planned crash still needs to
     // replay from: pin each shard's floor at the earliest join epoch among
-    // its crash-scheduled tenants whose windows are still open. The
-    // committer re-evaluates the floor at every commit, so long churn runs
-    // compact past windows that have closed instead of pinning the whole
-    // run at the earliest one.
+    // its crash-scheduled tenants whose windows are still open. Every
+    // commit re-evaluates the floor, so long churn runs compact past windows
+    // that have closed instead of pinning the whole run at the earliest one.
     let mut crash_windows = vec![Vec::new(); ctx.shard_count()];
-    for (tenant, &(start, end)) in windows.iter().enumerate() {
-        if injector.crash_epoch(tenant, start, end).is_some() {
-            crash_windows[tenant_shard[tenant]].push((start, end));
+    for handle in handles {
+        let (start, end) = (handle.start_epoch(), handle.end_epoch());
+        if plan.is_some_and(|plan| plan.crash_epoch(handle.index(), start, end).is_some()) {
+            crash_windows[ctx.shard_of(handle.namespace())].push((start, end));
         }
     }
     let domain = FaultDomain {
-        injector,
+        plan,
         store: Mutex::new(store),
         cursors,
         respawn,
@@ -293,7 +252,7 @@ pub(super) fn fault_domain<'h>(
 /// Folds a finished drive's fault domain into the outcome's summary.
 pub(super) fn summarize_faults(domain: FaultDomain<'_>) -> FaultSummary {
     let FaultDomain {
-        injector,
+        plan,
         store,
         tallies,
         ..
@@ -303,13 +262,9 @@ pub(super) fn summarize_faults(domain: FaultDomain<'_>) -> FaultSummary {
         .expect("checkpoint store poisoned")
         .into_store();
     FaultSummary {
-        spec: injector.spec().map(FaultSpec::render).unwrap_or_default(),
+        spec: plan.map(|plan| plan.spec().render()).unwrap_or_default(),
         injected: tallies.injected.into_inner(),
         tenants_crashed: tallies.tenants_crashed.into_inner(),
-        reports_dropped: tallies.reports_dropped.into_inner(),
-        reports_duplicated: tallies.reports_duplicated.into_inner(),
-        reports_reordered: tallies.reports_reordered.into_inner(),
-        committer_restarts: tallies.committer_restarts.into_inner(),
         shard_losses: tallies.shard_losses.into_inner(),
         replayed_epochs: tallies.replayed_epochs.into_inner(),
         checkpoints: store.checkpoints(),
@@ -318,177 +273,31 @@ pub(super) fn summarize_faults(domain: FaultDomain<'_>) -> FaultSummary {
     }
 }
 
-/// Why a delivered report is being held back by the fault injector.
-enum Held {
-    /// The original delivery was dropped; this copy is the retransmission.
-    Dropped,
-    /// A duplicate copy of a report that was also delivered normally.
-    Extra,
-    /// Delivery delayed past later arrivals (reordering), not lost.
-    Reordered,
-}
-
-/// The committer's faulty report channel: a deterministic message-loss layer
-/// between the report channel and the committer. Reports the injector marks
-/// as dropped or reordered are held back for a seeded number of subsequent
-/// deliveries (drops become retransmissions — the paper-world "resend on
-/// commit timeout" — so no information is ever truly lost); duplicated
-/// reports are delivered twice. The committer's idempotent admission makes
-/// all three shuffles invisible in the committed results. A received batch
-/// is unpacked report by report, each one a delivery of its own: countdowns
-/// age exactly as they would under one message per report.
-pub(super) struct FaultyInbox<'a> {
-    rx: &'a channel::Receiver<ReportBatch>,
-    injector: FaultInjector,
-    tallies: &'a FaultTallies,
-    recorder: &'a Recorder,
-    /// Held-back reports with their remaining-delivery countdowns.
-    delayed: Vec<(usize, Held, EpochReport)>,
-    /// Reports ready for the committer.
-    due: VecDeque<EpochReport>,
-    disconnected: bool,
-}
-
-impl<'a> FaultyInbox<'a> {
-    fn new(
-        rx: &'a channel::Receiver<ReportBatch>,
-        injector: FaultInjector,
-        tallies: &'a FaultTallies,
-        recorder: &'a Recorder,
-    ) -> Self {
-        FaultyInbox {
-            rx,
-            injector,
-            tallies,
-            recorder,
-            delayed: Vec::new(),
-            due: VecDeque::new(),
-            disconnected: false,
+/// Steps one tenant through global epoch `epoch`, the one entry point both
+/// transports step tenants through. When the plan crashes the tenant in
+/// this epoch, the doomed attempt runs first — mid-epoch work that dies with
+/// the crash, publishes and all — and [`crash_and_recover`] rebuilds the
+/// tenant before the epoch is stepped for real. Each tenant steps each epoch
+/// exactly once, so a crash fires at most once. A retired tenant never
+/// crashes: it steps no more epochs.
+pub(super) fn step_tenant(
+    ctx: &FleetContext<'_>,
+    domain: Option<&FaultDomain<'_>>,
+    handle: &mut TenantHandle<'_>,
+    epoch: usize,
+) {
+    if let Some(domain) = domain {
+        let (tenant, start, end) = (handle.index(), handle.start_epoch(), handle.end_epoch());
+        let crashes = domain
+            .plan
+            .is_some_and(|plan| plan.crash_epoch(tenant, start, end) == Some(epoch));
+        if crashes && !handle.retired() {
+            handle.step_epoch(epoch, ctx);
+            let _ = handle.drain_outbox();
+            crash_and_recover(ctx, domain, handle, epoch);
         }
     }
-
-    /// Releases a held report to the committer, counting retransmissions.
-    fn release(&mut self, held: Held, report: EpochReport) {
-        if matches!(held, Held::Dropped | Held::Extra) {
-            self.recorder.with(|m| m.retransmits.inc());
-            self.recorder.event(|| Event::ReportRetransmit {
-                tenant: report.tenant as u64,
-                epoch: report.epoch as u64,
-            });
-        }
-        self.due.push_back(report);
-    }
-
-    /// One delivery elapsed: age every held report, releasing the expired.
-    fn tick(&mut self) {
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].0 <= 1 {
-                let (_, held, report) = self.delayed.swap_remove(i);
-                self.release(held, report);
-            } else {
-                self.delayed[i].0 -= 1;
-                i += 1;
-            }
-        }
-    }
-
-    /// Classifies one freshly received report: pass through, hold back, or
-    /// duplicate, as the seeded plan dictates.
-    fn admit(&mut self, report: EpochReport) {
-        self.tick();
-        if report.aborted {
-            // Abort notices bypass injection: the committer must learn about
-            // a dead tenant promptly no matter what the plan says.
-            self.due.push_back(report);
-            return;
-        }
-        let (tenant, epoch) = (report.tenant, report.epoch);
-        if let Some(delay) = self.injector.drop_delay(tenant, epoch) {
-            self.tallies.fault(&self.tallies.reports_dropped);
-            self.recorder.with(|m| m.faults_injected.inc());
-            self.delayed.push((delay, Held::Dropped, report));
-        } else if let Some(delay) = self.injector.reorder_delay(tenant, epoch) {
-            self.tallies.fault(&self.tallies.reports_reordered);
-            self.recorder.with(|m| m.faults_injected.inc());
-            self.delayed.push((delay, Held::Reordered, report));
-        } else {
-            if self.injector.duplicate(tenant, epoch) {
-                self.tallies.fault(&self.tallies.reports_duplicated);
-                self.recorder.with(|m| m.faults_injected.inc());
-                self.delayed.push((2, Held::Extra, report.clone()));
-            }
-            self.due.push_back(report);
-        }
-    }
-
-    /// Liveness valve: when the channel has gone quiet but reports are still
-    /// held back, force the earliest (by `(epoch, tenant)` — deterministic)
-    /// out, so a held report whose countdown is pinned on deliveries that
-    /// will never come cannot stall the fleet. Commit order is independent
-    /// of arrival order, so early release never changes results.
-    fn force_release_earliest(&mut self) {
-        let Some(earliest) = self
-            .delayed
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, _, r))| (r.epoch, r.tenant))
-            .map(|(i, _)| i)
-        else {
-            return;
-        };
-        let (_, held, report) = self.delayed.swap_remove(earliest);
-        self.release(held, report);
-    }
-
-    fn admit_batch(&mut self, batch: ReportBatch) {
-        for report in batch {
-            self.admit(report);
-        }
-    }
-
-    /// The next report for the committer. With `block` unset, only what has
-    /// already been delivered: held reports keep their countdowns and the
-    /// liveness valve stays shut, both being the blocking path's business.
-    pub(super) fn next(&mut self, block: bool) -> Option<EpochReport> {
-        use super::channel::TryRecvError;
-        loop {
-            if let Some(report) = self.due.pop_front() {
-                return Some(report);
-            }
-            if self.disconnected {
-                if !block || self.delayed.is_empty() {
-                    return None;
-                }
-                // Every sender is gone: flush the held tail in
-                // deterministic order.
-                self.delayed
-                    .sort_by_key(|(_, _, r)| std::cmp::Reverse((r.epoch, r.tenant)));
-                while let Some((_, held, report)) = self.delayed.pop() {
-                    self.release(held, report);
-                }
-                continue;
-            }
-            match self.rx.try_recv() {
-                Ok(batch) => self.admit_batch(batch),
-                Err(TryRecvError::Empty) if !block => return None,
-                Err(TryRecvError::Empty) => {
-                    if self.delayed.is_empty() {
-                        match self.rx.recv() {
-                            Some(batch) => self.admit_batch(batch),
-                            None => self.disconnected = true,
-                        }
-                    } else {
-                        // Every tenant may be parked on a frontier that only
-                        // a held report can advance — release rather than
-                        // block on senders with nothing to send.
-                        self.force_release_earliest();
-                    }
-                }
-                Err(TryRecvError::Disconnected) => self.disconnected = true,
-            }
-        }
-    }
+    handle.step_epoch(epoch, ctx);
 }
 
 /// Crashes a tenant mid-epoch and rebuilds it from the checkpoint chain: the
@@ -499,15 +308,16 @@ impl<'a> FaultyInbox<'a> {
 /// original execution read, which makes recovery bit-exact), then switches
 /// the rebuilt tenant's view back to the live shared repository. Replayed
 /// publishes are discarded: they were already committed the first time
-/// round, and the idempotent committer would drop re-sent ones anyway.
+/// round.
 ///
 /// The tenant entered `epoch` only after its shard committed — and so
-/// checkpointed — every earlier epoch, so the chain always covers the whole
-/// replay. A chain that does not is a broken invariant and panics rather
+/// checkpointed — every earlier epoch (the barrier commits every shard
+/// before the next epoch; the pool's frontier admits no tenant early), so
+/// the chain always covers the whole replay. A chain that does not is a broken invariant and panics rather
 /// than replay a different image.
 ///
 /// Returns the number of epochs replayed.
-pub(super) fn crash_and_recover(
+fn crash_and_recover(
     ctx: &FleetContext<'_>,
     domain: &FaultDomain<'_>,
     handle: &mut TenantHandle<'_>,
@@ -584,55 +394,4 @@ pub(super) fn crash_and_recover(
         replayed,
     });
     replayed
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_batch_ages_held_reports_by_one_delivery_per_report() {
-        // A plan that drops tenant 0's epoch-1 report for two deliveries and
-        // leaves tenants 1..=3 alone: the held report must come out after
-        // exactly one later report, whether the four arrive as four
-        // messages or as one batch.
-        let injector = (0..)
-            .map(|seed| {
-                FaultInjector::from_spec(Some(FaultSpec::with_kinds(
-                    seed,
-                    &[FaultKind::DropReport],
-                )))
-            })
-            .find(|plan| {
-                plan.drop_delay(0, 1) == Some(2) && (1..=3).all(|t| plan.drop_delay(t, 1).is_none())
-            })
-            .expect("some seed drops exactly that report");
-        let delivery_order = |messages: Vec<ReportBatch>| -> Vec<usize> {
-            let (tx, rx) = channel::channel::<ReportBatch>();
-            let tallies = FaultTallies::default();
-            let recorder = Recorder::disabled();
-            let mut inbox = FaultyInbox::new(&rx, injector, &tallies, &recorder);
-            for message in messages {
-                assert!(tx.send(message).is_ok(), "receiver alive");
-            }
-            // The sender stays alive: the disconnect flush must not be what
-            // releases the held report.
-            let order = (0..4)
-                .map(|_| inbox.next(true).expect("four reports").tenant)
-                .collect();
-            assert!(inbox.next(false).is_none(), "nothing further was delivered");
-            assert_eq!(tallies.reports_dropped.load(Ordering::Relaxed), 1);
-            order
-        };
-        let singles = delivery_order(
-            (0..4)
-                .map(|t| vec![EpochReport::bare(t, 1, true)])
-                .collect(),
-        );
-        let batch = delivery_order(vec![(0..4)
-            .map(|t| EpochReport::bare(t, 1, true))
-            .collect()]);
-        assert_eq!(singles, vec![1, 0, 2, 3]);
-        assert_eq!(batch, singles, "a batch of n must age held reports n times");
-    }
 }

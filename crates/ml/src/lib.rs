@@ -14,8 +14,6 @@
 //! * [`bayes`] — Gaussian naive Bayes.
 //! * [`feature`] — correlation-based feature-subset selection (CFS) with
 //!   greedy forward (stepwise) search.
-//! * [`eval`] — train/test splitting, k-fold cross-validation, accuracy and
-//!   confusion matrices.
 //! * [`kernels`] — chunked, autovectorizable distance-accumulation kernels
 //!   shared by k-means and the fleet's signature-resolution hot path.
 //!
@@ -39,7 +37,6 @@ pub mod bayes;
 pub mod dataset;
 pub mod dtree;
 pub mod error;
-pub mod eval;
 pub mod feature;
 pub mod kernels;
 pub mod kmeans;
@@ -48,7 +45,6 @@ pub use bayes::NaiveBayes;
 pub use dataset::{Dataset, Instance};
 pub use dtree::{DecisionTree, DecisionTreeConfig};
 pub use error::MlError;
-pub use eval::{ConfusionMatrix, CrossValidation};
 pub use feature::{CfsSelector, FeatureSelection};
 pub use kmeans::{KMeans, KMeansConfig};
 

@@ -83,12 +83,6 @@ impl Gauge {
         self.0.store(value, Relaxed);
     }
 
-    /// Raises the value to `value` if larger.
-    #[inline]
-    pub fn record_max(&self, value: u64) {
-        self.0.fetch_max(value, Relaxed);
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -389,15 +383,11 @@ pub struct Metrics {
     // --- fault injection & recovery ---
     /// Faults injected by the fault plan, all kinds combined.
     pub faults_injected: Counter,
-    /// Recoveries completed: tenant restarts, committer restarts and shard
-    /// re-seeds that brought the fleet back to a converging state.
+    /// Recoveries completed: tenant restarts and shard re-seeds that brought
+    /// the fleet back to a converging state.
     pub recoveries: Counter,
     /// Epochs deterministically replayed while restarting crashed tenants.
     pub replayed_epochs: Counter,
-    /// Epoch reports re-delivered after a drop fault or committer restart.
-    pub retransmits: Counter,
-    /// Committer kill/restart cycles.
-    pub committer_restarts: Counter,
     /// Incremental delta checkpoints captured at commit boundaries.
     pub checkpoints: Counter,
 
@@ -501,20 +491,6 @@ pub enum Event {
         /// Epochs deterministically replayed from the checkpoint.
         replayed: u64,
     },
-    /// The committer was killed and restarted; retained un-acked reports
-    /// were re-delivered to rebuild its volatile assembly state.
-    CommitterRestart {
-        /// The epoch frontier low-water mark at restart time.
-        epoch: u64,
-    },
-    /// An epoch report was re-delivered (after a drop fault or a committer
-    /// restart).
-    ReportRetransmit {
-        /// Tenant index.
-        tenant: u64,
-        /// Epoch the report covers.
-        epoch: u64,
-    },
     /// An incremental delta checkpoint was captured at a commit boundary.
     CheckpointSave {
         /// Shard index.
@@ -542,8 +518,6 @@ impl Event {
             Event::SnapshotLoad { .. } => "snapshot_load",
             Event::TenantCrash { .. } => "tenant_crash",
             Event::TenantRecover { .. } => "tenant_recover",
-            Event::CommitterRestart { .. } => "committer_restart",
-            Event::ReportRetransmit { .. } => "report_retransmit",
             Event::CheckpointSave { .. } => "checkpoint_save",
         }
     }
@@ -579,10 +553,6 @@ impl Event {
                 epoch,
                 replayed,
             } => format!("tenant_recover tenant={tenant} epoch={epoch} replayed={replayed}"),
-            Event::CommitterRestart { epoch } => format!("committer_restart epoch={epoch}"),
-            Event::ReportRetransmit { tenant, epoch } => {
-                format!("report_retransmit tenant={tenant} epoch={epoch}")
-            }
             Event::CheckpointSave {
                 shard,
                 epoch,

@@ -97,8 +97,8 @@ const SCHEDULING_COUNTERS: [&str; 10] = [
 ];
 
 /// Event kinds whose counts are simulation-determined under BSP. Fault and
-/// recovery kinds are excluded: they only occur on the async transport,
-/// where the stable rendering makes no bit-stability promise.
+/// recovery kinds are left out: the stable rendering describes fault-free
+/// runs.
 const STABLE_EVENT_KINDS: [&str; 6] = [
     "epoch_begin",
     "epoch_commit",
@@ -114,10 +114,6 @@ impl ObsReport {
             ("barrier_busy_ns".to_string(), metrics.barrier_busy_ns.get()),
             ("barrier_wall_ns".to_string(), metrics.barrier_wall_ns.get()),
             ("checkpoints".to_string(), metrics.checkpoints.get()),
-            (
-                "committer_restarts".to_string(),
-                metrics.committer_restarts.get(),
-            ),
             ("durable_bytes".to_string(), metrics.durable_bytes.get()),
             ("durable_folds".to_string(), metrics.durable_folds.get()),
             (
@@ -131,7 +127,6 @@ impl ObsReport {
             ("recoveries".to_string(), metrics.recoveries.get()),
             ("replayed_epochs".to_string(), metrics.replayed_epochs.get()),
             ("report_batches".to_string(), metrics.report_batches.get()),
-            ("retransmits".to_string(), metrics.retransmits.get()),
             (
                 "scratch_bytes_saved".to_string(),
                 metrics.scratch_bytes_saved.get(),

@@ -140,11 +140,6 @@ impl RubisService {
             ..RubisService::default_browsing()
         }
     }
-
-    /// The interaction mix.
-    pub fn interaction_mix(&self) -> &InteractionMix {
-        &self.mix
-    }
 }
 
 impl ServiceModel for RubisService {

@@ -132,11 +132,6 @@ impl SimRng {
         -self.uniform01().max(f64::MIN_POSITIVE).ln() / rate
     }
 
-    /// Log-normal sample parameterized by the underlying normal's `mu` and `sigma`.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// Zipf-distributed rank in `[0, n)` with skew `s` (s = 0 is uniform).
     ///
     /// Uses inverse-CDF sampling over the precomputable harmonic weights; for

@@ -74,11 +74,6 @@ impl SimTime {
         self.0 / SECS_PER_HOUR
     }
 
-    /// Returns the instant as fractional days since the start of the experiment.
-    pub fn as_days(self) -> f64 {
-        self.0 / SECS_PER_DAY
-    }
-
     /// Returns the whole hour index this instant falls in (hour 0 is the first hour).
     pub fn hour_index(self) -> u64 {
         (self.0 / SECS_PER_HOUR).floor() as u64

@@ -105,8 +105,6 @@ pub struct WorkloadIntensity(f64);
 impl WorkloadIntensity {
     /// Zero load.
     pub const ZERO: WorkloadIntensity = WorkloadIntensity(0.0);
-    /// Peak load (100% of full-capacity saturation).
-    pub const PEAK: WorkloadIntensity = WorkloadIntensity(1.0);
 
     /// Creates an intensity, clamping to `[0, 1.5]` (values above 1.0 represent
     /// unforeseen overload beyond the provisioned peak).

@@ -1,14 +1,13 @@
 //! Seeded fault-schedule fuzzer for the fleet's fault model.
 //!
-//! PR 7 gave the async transport a deterministic fault injector
-//! ([`dejavu::fleet::FaultSpec`]) and the recovery machinery to survive it:
-//! delta-chain checkpoints between epoch barriers, tenant restart with
-//! deterministic epoch replay, committer failover that re-assembles
-//! un-committed batches from re-sent reports, and shard-loss warm re-seeds.
-//! The promise mirrors the differential fuzzer's: **recovery is invisible**.
-//! A run under *any* injected fault schedule converges bit-identical to the
-//! fault-free BSP barrier — down to the shared repository's eviction
-//! counts.
+//! Both transports carry one deterministic fault plan
+//! ([`dejavu::fleet::FaultSpec`]: tenant crashes and shard losses) and the
+//! recovery machinery to survive it: delta-chain checkpoints at every
+//! commit, tenant restart with deterministic epoch replay, and shard-loss
+//! warm re-seeds. The promise mirrors the differential fuzzer's: **recovery
+//! is invisible**. A run under *any* injected fault schedule, on the barrier
+//! or on the pool, converges bit-identical to the fault-free barrier — down
+//! to the shared repository's eviction counts.
 //!
 //! Every test here is seeded and deterministic (the shared `cases` harness
 //! from `tests/common`); `DEJAVU_PROPTEST_CASES` raises the case count —
@@ -17,15 +16,15 @@
 //!
 //! Invariants pinned, per fuzzed scenario:
 //!
-//! * **Convergence under faults.** For ≥ 64 distinct seeded schedules
-//!   (every fault kind alone, all kinds together, and a crash/restart/loss
-//!   mix — across cases and both pool shapes), the faulty run
-//!   bit-matches the fault-free barrier: per-tenant results, the hit-rate
-//!   curve, and the repository's entries/anchors/stats/shard stats
-//!   (evictions included).
+//! * **Convergence under faults.** For ≥ 64 schedule runs (every fault kind
+//!   alone and all kinds together, across cases, the barrier at one and four
+//!   workers and both pool shapes), the faulty run bit-matches the
+//!   fault-free barrier: per-tenant results, the hit-rate curve, and the
+//!   repository's entries/anchors/stats/shard stats (evictions included).
 //! * **The fault summary tells the truth.** Injection tallies are consistent
 //!   with the per-kind breakdown, enabled-kind subsets only inject their
-//!   kinds, and the all-kinds schedules actually fire (non-vacuous).
+//!   kinds, the all-kinds schedules actually fire (non-vacuous), and every
+//!   transport shape reports the same summary for the same schedule.
 //! * **Checkpoint profiling is invisible too.** `checkpoint_every > 0`
 //!   without any fault spec records deltas and compactions but changes no
 //!   result bit.
@@ -43,12 +42,16 @@ use dejavu::simcore::SimDuration;
 mod common;
 use common::{assert_reports_bit_match, cases, fuzz_repo, fuzz_scenario, D_SEED};
 
+/// One way to drive a fleet: a transport, plus the barrier's worker count
+/// (the pool sizes itself from its `threads`).
+type Shape = (TransportConfig, usize);
+
 /// Runs `scenario` with fault injection (and the delta-checkpoint cadence
-/// that recovery replays from) over `transport`.
+/// that recovery replays from) in the given shape.
 fn run_faulty(
     scenario: &Scenario,
     repo: &SharedRepoConfig,
-    transport: TransportConfig,
+    (transport, workers): Shape,
     faults: Option<FaultSpec>,
     checkpoint_every: usize,
     recorder: Option<Recorder>,
@@ -58,6 +61,7 @@ fn run_faulty(
         FleetConfig {
             repo: repo.clone(),
             transport,
+            workers,
             faults,
             checkpoint_every,
             recorder: recorder.unwrap_or_default(),
@@ -67,29 +71,27 @@ fn run_faulty(
     .run()
 }
 
-/// The schedule battery for one fuzz case: all kinds together, each kind
-/// alone, and a state-loss mix — eight distinct seeded schedules per case.
+/// The schedule battery for one fuzz case: all kinds together, then each
+/// kind alone — three distinct seeded schedules per case.
 fn fault_specs(case: u64) -> Vec<FaultSpec> {
     let seed = D_SEED ^ (case << 16);
     let mut specs = vec![FaultSpec::all(seed)];
     for (i, kind) in FaultKind::ALL.into_iter().enumerate() {
         specs.push(FaultSpec::with_kinds(seed ^ (i as u64 + 1), &[kind]));
     }
-    specs.push(FaultSpec::with_kinds(
-        seed ^ 0xFF,
-        &[
-            FaultKind::TenantCrash,
-            FaultKind::CommitterRestart,
-            FaultKind::ShardLoss,
-        ],
-    ));
     specs
 }
 
-/// The two pool shapes every schedule is driven through: one worker per
-/// tenant (nobody ever waits for a worker) and a pool of two.
-fn async_transports(tenants: usize) -> [TransportConfig; 2] {
-    [tenants, 2].map(|threads| TransportConfig::WorkStealing { threads })
+/// The four shapes every schedule is driven through: the barrier at one
+/// worker and at four, and the pool with one worker per tenant (nobody ever
+/// waits for a worker) and with two.
+fn shapes(tenants: usize) -> [Shape; 4] {
+    [
+        (TransportConfig::Bsp, 1),
+        (TransportConfig::Bsp, 4),
+        (TransportConfig::WorkStealing { threads: tenants }, 0),
+        (TransportConfig::WorkStealing { threads: 2 }, 0),
+    ]
 }
 
 /// Checks the summary's internal consistency: the injected total covers the
@@ -102,10 +104,6 @@ fn assert_summary_consistent(report: &FleetReport, spec: FaultSpec, label: &str)
     assert_eq!(f.spec, spec.render(), "{label}: spec round-trip");
     let by_kind = [
         (FaultKind::TenantCrash, f.tenants_crashed),
-        (FaultKind::CommitterRestart, f.committer_restarts),
-        (FaultKind::DropReport, f.reports_dropped),
-        (FaultKind::DupReport, f.reports_duplicated),
-        (FaultKind::ReorderReport, f.reports_reordered),
         (FaultKind::ShardLoss, f.shard_losses),
     ];
     let mut total = 0;
@@ -131,12 +129,12 @@ fn assert_summary_consistent(report: &FleetReport, spec: FaultSpec, label: &str)
 }
 
 /// Every run under every injected fault schedule converges
-/// bit-identical to the fault-free BSP barrier — the tentpole invariant.
-/// 4 cases × 8 schedules × 2 transports = 64 distinct schedule runs at the
-/// default case count.
+/// bit-identical to the fault-free BSP barrier — the tentpole invariant —
+/// and every shape reports the same fault summary. 6 cases × 3 schedules ×
+/// 4 shapes = 72 schedule runs at the default case count.
 #[test]
 fn k0_fault_schedules_converge_bit_identical_to_fault_free_bsp() {
-    cases(4, |rng, case| {
+    cases(6, |rng, case| {
         let scenario = fuzz_scenario(rng, case);
         let repo = fuzz_repo(rng);
         let bsp = FleetEngine::new(
@@ -153,21 +151,21 @@ fn k0_fault_schedules_converge_bit_identical_to_fault_free_bsp() {
         let checkpoint_every = [0, 2, 5, 8][case as usize % 4];
         let mut injected_all_kinds = 0;
         for (s, spec) in fault_specs(case).into_iter().enumerate() {
-            for transport in async_transports(scenario.tenants.len()) {
-                let label = format!("case {case} spec {s} ({}) {transport:?}", spec.render());
-                let faulty = run_faulty(
-                    &scenario,
-                    &repo,
-                    transport,
-                    Some(spec),
-                    checkpoint_every,
-                    None,
-                );
+            let mut first_summary = None;
+            for shape in shapes(scenario.tenants.len()) {
+                let label = format!("case {case} spec {s} ({}) {shape:?}", spec.render());
+                let faulty =
+                    run_faulty(&scenario, &repo, shape, Some(spec), checkpoint_every, None);
                 assert_reports_bit_match(&bsp, &faulty, &label);
                 assert_summary_consistent(&faulty, spec, &label);
-                if s == 0 {
-                    injected_all_kinds += faulty.faults.as_ref().unwrap().injected;
+                let summary = faulty.faults.expect("fault summary");
+                match &first_summary {
+                    None => first_summary = Some(summary),
+                    Some(first) => assert_eq!(first, &summary, "{label}: summary differs"),
                 }
+            }
+            if s == 0 {
+                injected_all_kinds += first_summary.expect("four shapes ran").injected;
             }
         }
         assert!(
@@ -193,9 +191,9 @@ fn checkpointing_without_faults_is_invisible_and_summarized() {
             },
         )
         .run();
-        for transport in async_transports(scenario.tenants.len()) {
-            let label = format!("ckpt case {case} {transport:?}");
-            let report = run_faulty(&scenario, &repo, transport, None, 3, None);
+        for shape in shapes(scenario.tenants.len()) {
+            let label = format!("ckpt case {case} {shape:?}");
+            let report = run_faulty(&scenario, &repo, shape, None, 3, None);
             assert_reports_bit_match(&bsp, &report, &label);
             let f = report
                 .faults
@@ -236,9 +234,9 @@ fn long_churn_runs_keep_delta_chains_bounded() {
     )
     .run();
     let spec = FaultSpec::with_kinds(D_SEED ^ 0xC0FFEE, &[FaultKind::TenantCrash]);
-    for transport in async_transports(scenario.tenants.len()) {
-        let label = format!("bounded chain {transport:?}");
-        let faulty = run_faulty(&scenario, &repo, transport, Some(spec), 2, None);
+    for shape in shapes(scenario.tenants.len()) {
+        let label = format!("bounded chain {shape:?}");
+        let faulty = run_faulty(&scenario, &repo, shape, Some(spec), 2, None);
         assert_reports_bit_match(&bsp, &faulty, &label);
         let f = faulty.faults.as_ref().expect("fault summary");
         assert!(
@@ -267,14 +265,14 @@ fn obs_recording_is_invisible_to_fault_runs() {
         let scenario = fuzz_scenario(rng, case);
         let repo = fuzz_repo(rng);
         let spec = FaultSpec::all(D_SEED ^ (case << 32));
-        for transport in async_transports(scenario.tenants.len()) {
-            let label = format!("obs fault case {case} {transport:?}");
-            let off = run_faulty(&scenario, &repo, transport, Some(spec), 3, None);
+        for shape in shapes(scenario.tenants.len()) {
+            let label = format!("obs fault case {case} {shape:?}");
+            let off = run_faulty(&scenario, &repo, shape, Some(spec), 3, None);
             let recorder = Recorder::enabled();
             let on = run_faulty(
                 &scenario,
                 &repo,
-                transport,
+                shape,
                 Some(spec),
                 3,
                 Some(recorder.clone()),
