@@ -9,7 +9,7 @@
 //!
 //! * [`arena`] — bump-arena slabs for signature payloads: contiguous
 //!   dim-major storage with `(offset, len)` handles and capacity-retaining
-//!   reset, backing the resolve memo and the anchor-set misfit store.
+//!   reset, backing the resolve memo.
 //! * [`engine`] — the single-tenant simulation engine (moved here from
 //!   `dejavu-experiments`), now steppable one observation tick at a time.
 //! * [`shared_repo`] — the lock-striped, sharded store. Entries are keyed by

@@ -16,14 +16,13 @@
 //!
 //! # Hot-path design
 //!
-//! * **Indexed anchor resolution.** A namespace's anchors are indexed by a
-//!   ball tree in quantized log-magnitude space, with the query radius
-//!   derived from the match tolerance so that any anchor within tolerance of
-//!   a query provably lies inside the query's φ-ball (`anchors.rs`).
-//!   Resolution therefore inspects candidate cells/leaves instead of every
-//!   anchor in the namespace, and the remaining exact checks use an
-//!   early-exit distance ([`normalized_distance_within`]) that bails as soon
-//!   as the partial sum exceeds the tolerance bound. Results — including the
+//! * **One flat anchor scan.** A namespace holds a few hundred anchors at
+//!   most, stored flat in id order with their log-magnitude (φ) vectors
+//!   alongside (`anchors.rs`). Resolution scans every anchor of the query's
+//!   length once: a division-free φ-distance test, derived from the current
+//!   match bound, rejects anchors that provably lie beyond it, and the rest
+//!   get an early-exit distance ([`normalized_distance_within`]) that bails
+//!   as soon as the partial sum exceeds the bound. Results — including the
 //!   lowest-id tie-break — are bit-identical to a brute-force linear scan
 //!   (property-tested in `tests/properties.rs`).
 //! * **Published read snapshots.** Every write path republishes the shard's
@@ -47,15 +46,18 @@
 //!   which groups them by shard and takes each shard's write lock once per
 //!   epoch instead of once per operation, while preserving the deterministic
 //!   tenant-order commit sequence within every shard.
-//! * **Memoized resolution.** Controllers peek the same class-medoid
-//!   signatures tick after tick; [`ResolveMemo`] caches their anchor
+//! * **Memoized resolution.** [`ResolveMemo`] caches a tenant's anchor
 //!   resolutions and revalidates against only the anchors created since —
 //!   provably bit-identical to resolving from scratch, because anchors only
-//!   accrete and newer anchors lose distance ties. The epoch commit checks a
-//!   `RecordHit`'s peek-time witness by the same rule, in the same function.
+//!   accrete and newer anchors lose distance ties. A tenant peeks only when
+//!   its local overlay misses, and adopts a shared hit into that overlay, so
+//!   a memoized signature recurs only after a miss: the measured memo hit
+//!   ratio is 0.055 on a 1000-tenant 7-day fleet and 0.0 on a 6000-tenant
+//!   1-day one. The epoch commit checks a `RecordHit`'s peek-time witness by
+//!   the same revalidation rule, in the same scan.
 //! * **Flat storage.** Entries live in a key-sorted
 //!   [`FlatMap`](dejavu_core::FlatMap) (one contiguous vector per namespace)
-//!   and anchor centroids in one flat `f64` slab per namespace, so a lookup
+//!   and anchor values in one flat `f64` vector per namespace, so a lookup
 //!   touches contiguous memory instead of chasing B-tree nodes.
 //!
 //! Shards are lock-striped (`RwLock` per shard); a namespace's anchors and
@@ -63,9 +65,10 @@
 //! Entries carry their tuning time; a TTL turns tuning decisions stale so a
 //! fleet never reuses week-old allocations forever.
 //!
-//! The ball tree, the memo and the distance live in `anchors.rs`; shard
-//! state, counters, the published cell, batch apply and the TTL sweep in
-//! `shard.rs`; snapshot, delta and restore glue in `persist.rs`.
+//! The anchor store and its scan, the memo and the distance live in
+//! `anchors.rs`; shard state, counters, the published cell, batch apply and
+//! the TTL sweep in `shard.rs`; snapshot, delta and restore glue in
+//! `persist.rs`.
 
 mod anchors;
 mod persist;
@@ -277,7 +280,7 @@ pub struct SharedSignatureRepository {
     /// the fleet clock here instead of resetting entry ages to zero.
     clock: AtomicU64,
     /// The flight recorder the repository's hot paths record into
-    /// (lookup/peek/publish latency, ball-tree visits, memo hit rate).
+    /// (lookup/peek/publish latency, anchor visits, memo hit rate).
     /// Disabled by default: probes fold to a null check and never influence
     /// results, so runs are bit-identical with obs on or off.
     recorder: Recorder,
@@ -444,10 +447,10 @@ impl SharedSignatureRepository {
     /// Returns the entry with the `(anchor id, anchor count, distance)`
     /// witness of the resolution: a buffered [`PendingOp::RecordHit`]
     /// carries it so the epoch commit checks only anchors created after the
-    /// peek. With a caller-held [`ResolveMemo`] — the hot path for
-    /// controllers that peek the same class-medoid signatures tick after
-    /// tick — the resolution is revalidated instead of re-derived; answers
-    /// and witnesses are bit-identical either way.
+    /// peek. With a caller-held [`ResolveMemo`] holding this signature, the
+    /// resolution is revalidated against only the anchors created since
+    /// instead of re-derived; answers and witnesses are bit-identical either
+    /// way.
     pub fn peek(
         &self,
         namespace: u64,

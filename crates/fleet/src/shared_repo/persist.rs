@@ -92,10 +92,9 @@ impl SharedSignatureRepository {
     /// by full restore, delta application and shard re-seeding).
     fn namespace_state_from_snapshot(
         ns_snap: &NamespaceSnapshot,
-        match_tolerance: f64,
     ) -> Result<NamespaceState, SnapshotError> {
         let inconsistent = |message: String| SnapshotError::Inconsistent { message };
-        let anchors = AnchorSet::restore(&ns_snap.anchors, match_tolerance)
+        let anchors = AnchorSet::restore(&ns_snap.anchors)
             .map_err(|e| inconsistent(format!("namespace {}: {e}", ns_snap.id)))?;
         let mut entries = FlatMap::new();
         for e in &ns_snap.entries {
@@ -152,7 +151,7 @@ impl SharedSignatureRepository {
         });
         repo.advance_clock(SimTime::from_secs(snapshot.clock_secs));
         for ns_snap in &snapshot.namespaces {
-            let ns_state = Self::namespace_state_from_snapshot(ns_snap, snapshot.match_tolerance)?;
+            let ns_state = Self::namespace_state_from_snapshot(ns_snap)?;
             let shard = &repo.shards[repo.shard_index(ns_snap.id)];
             for e in ns_state.entries.values() {
                 shard.note_tuned_at(e.tuned_at);
@@ -270,8 +269,7 @@ impl SharedSignatureRepository {
                     ns_snap.id, delta.shard
                 )));
             }
-            let mut ns_state =
-                Self::namespace_state_from_snapshot(ns_snap, self.config.match_tolerance)?;
+            let mut ns_state = Self::namespace_state_from_snapshot(ns_snap)?;
             state.mutation_clock += 1;
             ns_state.version = state.mutation_clock;
             for e in ns_state.entries.values() {
@@ -320,8 +318,7 @@ impl SharedSignatureRepository {
             if self.shard_index(ns_snap.id) != shard {
                 continue;
             }
-            let mut ns_state =
-                Self::namespace_state_from_snapshot(ns_snap, self.config.match_tolerance)?;
+            let mut ns_state = Self::namespace_state_from_snapshot(ns_snap)?;
             state.mutation_clock += 1;
             ns_state.version = state.mutation_clock;
             for e in ns_state.entries.values() {
@@ -506,7 +503,7 @@ mod tests {
                 );
                 r.lookup(9, ns, &sig, (a % 2) as u32, SimTime::from_hours(1.0));
             }
-            // A mixed-length (misfit) anchor and a deliberate miss.
+            // A mixed-length anchor and a deliberate miss.
             r.insert(
                 0,
                 ns,

@@ -204,7 +204,7 @@ impl Shard {
             Some((_, id)) => id,
             None => {
                 self.counters.anchors_created.inc();
-                ns.anchors.push(signature, tolerance)
+                ns.anchors.push(signature)
             }
         };
         let key = EntryKey {

@@ -4,10 +4,9 @@
 //! A snapshot captures everything the repository needs to resume **bit
 //! identically**: the sharding configuration, every namespace's anchors (in
 //! anchor-id order, with full-precision centroid values), every entry with its
-//! reuse counters, and the per-shard statistics. The φ-space ball-tree anchor
-//! index is *not* serialized — it is a pure acceleration structure whose
-//! results are provably identical to a linear scan, so the loader simply
-//! rebuilds it.
+//! reuse counters, and the per-shard statistics. The anchors' log-magnitude
+//! (φ) vectors are *not* serialized — they are a pure function of the
+//! values, so the loader recomputes them.
 //!
 //! # Format
 //!
@@ -27,9 +26,8 @@
 //! ```
 //!
 //! * `namespace <id>` starts a namespace block; `anchor <id> <values…>` lines
-//!   list its anchors in id order (anchors whose dimensionality differs from
-//!   the namespace's first non-empty anchor are the "misfits" of
-//!   [`shared_repo`](crate::shared_repo) and are reconstructed as such);
+//!   list its anchors in id order (a namespace may hold anchors of
+//!   different lengths; each only matches queries of its own length);
 //!   `entry <anchor> <bucket> <type> <count> <tuned_at> <owner> <hits>
 //!   <cross_hits>` lines list its entries in key order.
 //! * `shard <idx> <hits> <misses> <insertions> <evictions> <cross> <anchors>`

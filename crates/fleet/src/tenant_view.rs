@@ -53,9 +53,9 @@ pub struct TenantRepoView {
     clock_offset: SimDuration,
     local: FlatMap<RepositoryKey, RepositoryEntry>,
     stats: RepositoryStats,
-    /// Anchor resolutions for the class-medoid signatures this tenant looks
-    /// up tick after tick — provably bit-identical to resolving from scratch
-    /// (anchors only accrete; see [`ResolveMemo`]).
+    /// This tenant's anchor resolutions, revalidated on a repeated peek —
+    /// provably bit-identical to resolving from scratch (anchors only
+    /// accrete; see [`ResolveMemo`]).
     memo: ResolveMemo,
     outbox: Outbox,
 }

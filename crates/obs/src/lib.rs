@@ -332,11 +332,13 @@ pub struct Metrics {
     pub peek_ns: LogHistogram,
     /// Publish latency (ns), one observation per committed `Publish` op.
     pub publish_ns: LogHistogram,
-    /// Ball-tree visit counts: exact distance checks per anchor resolve.
+    /// Anchors exact-checked per anchor resolve: every anchor of the query's
+    /// length (from the memo's witness on, for a revalidation).
     pub tree_visits: LogHistogram,
-    /// Resolve-memo hits (peek served without touching the ball tree).
+    /// Resolve-memo hits (peek revalidated against only the anchors created
+    /// since its memoized resolution).
     pub memo_hits: Counter,
-    /// Resolve-memo misses (peek fell through to the ball tree).
+    /// Resolve-memo misses (peek scanned every anchor of its namespace).
     pub memo_misses: Counter,
     /// Entries reclaimed by TTL sweeps, fleet-wide.
     pub sweep_reclaimed: Counter,

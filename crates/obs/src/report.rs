@@ -5,7 +5,7 @@
 //! with fixed precision, and nothing depends on map iteration order. Two
 //! classes of values are distinguished:
 //!
-//! * **simulation-determined** — counters, value-domain histograms (ball-tree
+//! * **simulation-determined** — counters, value-domain histograms (anchor
 //!   visits, batch op counts), event counts of deterministic kinds. Under
 //!   the BSP transport these are bit-stable for a fixed seed; the stable
 //!   rendering ([`ObsReport::render_stable`]) contains only these.

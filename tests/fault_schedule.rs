@@ -21,6 +21,8 @@
 //!   workers and both pool shapes), the faulty run bit-matches the
 //!   fault-free barrier: per-tenant results, the hit-rate curve, and the
 //!   repository's entries/anchors/stats/shard stats (evictions included).
+//!   The fuzzed fleets fit in one barrier block, so one 49-tenant case
+//!   pins the same invariant on four barrier workers that really run.
 //! * **The fault summary tells the truth.** Injection tallies are consistent
 //!   with the per-kind breakdown, enabled-kind subsets only inject their
 //!   kinds, the all-kinds schedules actually fire (non-vacuous), and every
@@ -33,8 +35,8 @@
 //!   sees the recovery counters.
 
 use dejavu::fleet::{
-    FaultKind, FaultSpec, FleetConfig, FleetEngine, FleetReport, Scenario, ScenarioBuilder,
-    SharedRepoConfig, TransportConfig,
+    standard_fleet, FaultKind, FaultSpec, FleetConfig, FleetEngine, FleetReport, Scenario,
+    ScenarioBuilder, SharedRepoConfig, TransportConfig,
 };
 use dejavu::obs::Recorder;
 use dejavu::simcore::SimDuration;
@@ -173,6 +175,57 @@ fn k0_fault_schedules_converge_bit_identical_to_fault_free_bsp() {
             "case {case}: the all-kinds schedules never injected anything — vacuous"
         );
     });
+}
+
+/// The barrier deals one worker per 16-tenant block, so the fuzzed 3–7-tenant
+/// scenarios above step on one worker whatever count they ask for. A
+/// 49-tenant fleet deals four blocks, so its four-worker run really recovers
+/// crashed tenants on several workers at once — and must still bit-match the
+/// one-worker run and the fault-free barrier, with the same fault summary.
+#[test]
+fn a_four_block_fleet_recovers_bit_identically_on_four_barrier_workers() {
+    let scenario = standard_fleet(49, 1, D_SEED);
+    let repo = SharedRepoConfig::default();
+    let bsp = FleetEngine::new(
+        scenario.clone(),
+        FleetConfig {
+            repo: repo.clone(),
+            ..Default::default()
+        },
+    )
+    .run();
+    let spec = FaultSpec::all(D_SEED ^ 0xB10C);
+    let one = run_faulty(
+        &scenario,
+        &repo,
+        (TransportConfig::Bsp, 1),
+        Some(spec),
+        4,
+        None,
+    );
+    let recorder = Recorder::enabled();
+    let four = run_faulty(
+        &scenario,
+        &repo,
+        (TransportConfig::Bsp, 4),
+        Some(spec),
+        4,
+        Some(recorder.clone()),
+    );
+    let metrics = recorder.metrics().expect("enabled recorder");
+    assert_eq!(
+        metrics.barrier_workers.get(),
+        4,
+        "four blocks, four workers"
+    );
+    assert_reports_bit_match(&bsp, &one, "four blocks, one worker");
+    assert_reports_bit_match(&bsp, &four, "four blocks, four workers");
+    assert_summary_consistent(&four, spec, "four blocks, four workers");
+    assert_eq!(one.faults, four.faults, "summaries diverged");
+    assert!(
+        four.faults.as_ref().expect("fault summary").tenants_crashed > 1,
+        "no concurrent crash recovery to exercise"
+    );
 }
 
 /// `checkpoint_every > 0` with no fault spec is pure profiling: deltas and

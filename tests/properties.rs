@@ -599,13 +599,15 @@ fn peeked_anchor(repo: &SharedSignatureRepository, namespace: u64, sig: &[f64]) 
         .map(|(_, (anchor, _, _))| anchor)
 }
 
-/// The indexed anchor resolution of the shared repository returns exactly
-/// what a brute-force linear scan over all anchors would: the nearest anchor
+/// The anchor resolution of the shared repository returns exactly what a
+/// brute-force linear scan over all anchors would: the nearest anchor
 /// within tolerance, ties broken toward the lowest anchor id. The reference
 /// model below mirrors anchor accretion (a signature farther than the
 /// tolerance from every anchor becomes a new anchor) with plain linear
-/// scans, while the repository exercises its φ-space ball tree, linear tail
-/// and early-exit distance over hundreds of anchors and rebuilds.
+/// scans, while the repository exercises its φ screen and early-exit
+/// distance over hundreds of anchors. Every third case draws a tolerance
+/// with `tol·√dims ≥ 1`, where the φ bound starts out degenerate, and every
+/// third mixes signatures of two lengths into one namespace.
 #[test]
 fn indexed_anchor_resolution_matches_brute_force() {
     use dejavu::fleet::shared_repo::normalized_distance;
@@ -637,8 +639,14 @@ fn indexed_anchor_resolution_matches_brute_force() {
     }
 
     cases(12, |rng, case| {
-        let tolerance = rng.uniform(0.02, 0.5);
+        let mut tolerance = rng.uniform(0.02, 0.5);
         let dims = 1 + rng.uniform_usize(34);
+        let mut other_len = None;
+        match case % 3 {
+            1 => tolerance = rng.uniform(1.0, 1.5) / (dims as f64).sqrt(),
+            2 => other_len = Some(1 + dims % 34),
+            _ => {}
+        }
         let repo = SharedSignatureRepository::new(SharedRepoConfig {
             match_tolerance: tolerance,
             ..Default::default()
@@ -649,10 +657,11 @@ fn indexed_anchor_resolution_matches_brute_force() {
         };
         let namespace = case;
         let sig = |rng: &mut SimRng| -> Vec<f64> {
-            (0..dims)
+            let len = other_len.map_or(dims, |other| [dims, other][rng.uniform_usize(2)]);
+            (0..len)
                 .map(|_| {
                     // Mixed magnitudes, signs and exact zeros stress the
-                    // log-magnitude mapping underneath the index.
+                    // log-magnitude mapping underneath the φ screen.
                     match rng.uniform_usize(8) {
                         0 => 0.0,
                         1 => -rng.uniform(0.0, 10.0),
@@ -680,7 +689,7 @@ fn indexed_anchor_resolution_matches_brute_force() {
             assert_eq!(
                 peeked_anchor(&repo, namespace, &q),
                 reference.resolve(&q),
-                "case {case} step {step}: indexed resolve diverged from brute force"
+                "case {case} step {step}: resolve diverged from brute force"
             );
             repo.insert(
                 0,
@@ -701,7 +710,7 @@ fn indexed_anchor_resolution_matches_brute_force() {
     });
 }
 
-/// Exact distance ties resolve toward the lowest anchor id through the index,
+/// Exact distance ties resolve toward the lowest anchor id through the scan,
 /// just as the brute-force scan's strict-`<` comparison does.
 #[test]
 fn anchor_resolution_ties_break_toward_lowest_id() {
