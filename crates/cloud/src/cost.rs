@@ -76,36 +76,6 @@ impl CostMeter {
         total
     }
 
-    /// Instance-hours accumulated within `[from, to]` (weighted by capacity units).
-    pub fn capacity_hours_between(&self, from: SimTime, to: SimTime) -> f64 {
-        let from = from.as_secs();
-        let to = to.as_secs();
-        let mut total = 0.0;
-        for (i, &(t0, alloc)) in self.changes.iter().enumerate() {
-            let t1 = self
-                .changes
-                .get(i + 1)
-                .map(|&(t, _)| t)
-                .unwrap_or(to)
-                .min(to);
-            let start = t0.max(from);
-            if t1 > start {
-                total += alloc.capacity_units() * (t1 - start) / 3_600.0;
-            }
-        }
-        total
-    }
-
-    /// Relative savings of this meter versus `baseline` over `[from, to]`
-    /// (1.0 = free, 0.0 = same cost, negative = more expensive).
-    pub fn savings_vs(&self, baseline: &CostMeter, from: SimTime, to: SimTime) -> f64 {
-        let base = baseline.cost_between(from, to);
-        if base <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.cost_between(from, to) / base
-    }
-
     /// The allocation in effect at `time`, if any has been recorded yet.
     pub fn allocation_at(&self, time: SimTime) -> Option<ResourceAllocation> {
         let t = time.as_secs();
@@ -120,7 +90,6 @@ impl CostMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::InstanceType;
 
     #[test]
     fn cost_accumulates_by_segment() {
@@ -138,31 +107,6 @@ mod tests {
         m.record(SimTime::ZERO, ResourceAllocation::large(4));
         let c = m.cost_between(SimTime::from_hours(1.0), SimTime::from_hours(2.0));
         assert!((c - 4.0 * 0.34).abs() < 1e-9);
-    }
-
-    #[test]
-    fn savings_vs_overprovisioning() {
-        let mut dejavu = CostMeter::new();
-        dejavu.record(SimTime::ZERO, ResourceAllocation::large(4));
-        let mut max = CostMeter::new();
-        max.record(SimTime::ZERO, ResourceAllocation::large(10));
-        let s = dejavu.savings_vs(&max, SimTime::ZERO, SimTime::from_hours(10.0));
-        assert!((s - 0.6).abs() < 1e-9);
-        assert_eq!(
-            max.savings_vs(&max, SimTime::ZERO, SimTime::from_hours(1.0)),
-            0.0
-        );
-    }
-
-    #[test]
-    fn capacity_hours_account_for_type() {
-        let mut m = CostMeter::new();
-        m.record(
-            SimTime::ZERO,
-            ResourceAllocation::new(InstanceType::ExtraLarge, 5).unwrap(),
-        );
-        let ch = m.capacity_hours_between(SimTime::ZERO, SimTime::from_hours(2.0));
-        assert!((ch - 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -26,14 +26,6 @@ impl InstanceType {
         }
     }
 
-    /// Memory in GiB (illustrative; used by reports only).
-    pub fn memory_gb(self) -> f64 {
-        match self {
-            InstanceType::Large => 7.5,
-            InstanceType::ExtraLarge => 15.0,
-        }
-    }
-
     /// On-demand hourly price in USD (July 2011, as cited in §4.5).
     pub fn hourly_price(self) -> f64 {
         match self {
@@ -97,15 +89,6 @@ impl VmInstance {
         }
     }
 
-    /// Returns true if the instance contributes full capacity at `now`.
-    pub fn is_running(&self, now: SimTime) -> bool {
-        match self.state {
-            VmState::Running => true,
-            VmState::WarmingUp { ready_at } | VmState::Booting { ready_at } => now >= ready_at,
-            VmState::Stopped => false,
-        }
-    }
-
     /// Effective capacity contribution at `now`: full when running, half while
     /// warming up (cold caches), zero while booted or stopped.
     pub fn effective_capacity(&self, now: SimTime) -> f64 {
@@ -142,7 +125,6 @@ mod tests {
             InstanceType::ExtraLarge.capacity_units(),
             2.0 * InstanceType::Large.capacity_units()
         );
-        assert!(InstanceType::ExtraLarge.memory_gb() > InstanceType::Large.memory_gb());
     }
 
     #[test]
@@ -157,7 +139,6 @@ mod tests {
         let later = SimTime::from_secs(200.0);
         let stopped = VmInstance::stopped(0, InstanceType::Large);
         assert_eq!(stopped.effective_capacity(now), 0.0);
-        assert!(!stopped.is_running(now));
 
         let booting = VmInstance {
             id: 1,
@@ -174,7 +155,6 @@ mod tests {
         };
         assert_eq!(warming.effective_capacity(now), 1.0);
         assert_eq!(warming.effective_capacity(later), 2.0);
-        assert!(warming.is_running(later));
 
         let running = VmInstance {
             id: 3,

@@ -4,7 +4,7 @@
 use crate::allocation::{AllocationSpace, ResourceAllocation};
 use crate::cost::CostMeter;
 use crate::error::CloudError;
-use crate::interference::{InterferenceLevel, InterferenceSchedule};
+use crate::interference::InterferenceSchedule;
 use dejavu_simcore::{SimDuration, SimTime};
 
 /// Platform configuration.
@@ -181,11 +181,6 @@ impl CloudPlatform {
         self.pending.map(|p| p.effective_at)
     }
 
-    /// The interference level co-located tenants impose at `time`.
-    pub fn interference_at(&self, time: SimTime) -> InterferenceLevel {
-        self.interference.level_at(time)
-    }
-
     /// Effective capacity (in capacity units) available to the service at
     /// `time`: the deployed allocation, reduced while freshly added capacity is
     /// warming up, and reduced by interference.
@@ -204,6 +199,7 @@ impl CloudPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interference::InterferenceLevel;
 
     fn platform(initial: u32) -> CloudPlatform {
         CloudPlatform::new(
@@ -288,7 +284,6 @@ mod tests {
             InterferenceSchedule::constant(InterferenceLevel::new(0.2)),
         );
         assert!((p.effective_capacity(SimTime::from_hours(1.0)) - 8.0).abs() < 1e-9);
-        assert_eq!(p.interference_at(SimTime::from_hours(1.0)).fraction(), 0.2);
     }
 
     #[test]

@@ -280,14 +280,6 @@ impl SignatureRepository {
         entry
     }
 
-    /// Sum of the per-entry reuse counters of the currently cached entries.
-    ///
-    /// Equals `stats().hits` as long as no entry has been overwritten or
-    /// cleared since the last reset.
-    pub fn total_entry_hits(&self) -> u64 {
-        self.entries.values().map(|e| e.hits).sum()
-    }
-
     /// Reads an entry without affecting statistics.
     pub fn peek(&self, key: RepositoryKey) -> Option<&RepositoryEntry> {
         self.entries.get(&key)
@@ -409,7 +401,8 @@ mod tests {
         }
         let _ = repo.lookup(RepositoryKey::baseline(9));
         assert_eq!(repo.stats().hits, 8);
-        assert_eq!(repo.total_entry_hits(), repo.stats().hits);
+        let entry_hits = |class| repo.peek(RepositoryKey::baseline(class)).unwrap().hits;
+        assert_eq!((entry_hits(0), entry_hits(1)), (5, 3));
     }
 
     #[test]

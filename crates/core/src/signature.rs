@@ -87,11 +87,6 @@ impl SignatureBuilder {
             std::sync::Arc::clone(&self.projected_names),
         )
     }
-
-    /// Projects the raw values of a full-catalogue signature.
-    pub fn project_values(&self, signature: &WorkloadSignature) -> Vec<f64> {
-        self.selection.project_vector(signature.values())
-    }
 }
 
 #[cfg(test)]
@@ -131,10 +126,6 @@ mod tests {
         assert!(!builder.metric_names().iter().any(|n| n == "prefetch_hits"));
         let projected = builder.project(&sigs[0]);
         assert_eq!(projected.len(), builder.metric_names().len());
-        assert_eq!(
-            builder.project_values(&sigs[0]),
-            projected.values().to_vec()
-        );
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn phi_threshold(limit: f64, dims: usize) -> f64 {
 /// [`normalized_distance_within`] check in original space decides the rest
 /// exactly. When `limit·√n ≥ 1` the bound degenerates and every anchor of
 /// the query's length gets the exact check.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(super) struct AnchorSet {
     /// Each anchor's values, concatenated in id order.
     values: Vec<f64>,

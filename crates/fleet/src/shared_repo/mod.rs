@@ -25,21 +25,22 @@
 //!   as soon as the partial sum exceeds the bound. Results — including the
 //!   lowest-id tie-break — are bit-identical to a brute-force linear scan
 //!   (property-tested in `tests/properties.rs`).
-//! * **Published read snapshots.** Every write path republishes the shard's
-//!   namespace map (copy-on-write `Arc`s per namespace) as the shard's read
-//!   image before releasing the shard's state lock. The image sits in an
-//!   `RwLock<Arc<…>>` that a publisher holds only to swap the pointer;
-//!   [`SharedSignatureRepository::lookup`] and
-//!   [`peek`](SharedSignatureRepository::peek) clone the `Arc` under its
-//!   read lock, release it, and resolve against that snapshot. Reads never
-//!   wait for the committer's `apply_batch`/TTL-sweep state lock, and the
-//!   crate has no `unsafe` code. Hit/miss/reuse counters are relaxed atomics
-//!   (per shard, and per entry shared across snapshot generations), so
-//!   read-side accounting lands in the same counters the write path owns.
-//!   Stale entries found by a lookup are counted as misses but left in
-//!   place — eviction is deferred to the epoch TTL sweep
-//!   ([`SharedSignatureRepository::evict_stale`]), which skips shards whose
-//!   earliest-expiry watermark proves nothing can be stale yet.
+//! * **One lock per shard.** Each shard keeps its namespaces behind one
+//!   `RwLock`. [`SharedSignatureRepository::lookup`] and
+//!   [`peek`](SharedSignatureRepository::peek) hold its read lock while they
+//!   resolve; inserts, `apply_batch`, the TTL sweep and the restore paths
+//!   hold its write lock. In the fleet no read needs to overtake a commit:
+//!   the barrier steps every tenant before anything commits, and the pool
+//!   commits a shard's epoch only after all of that shard's tenants
+//!   reported it. In `dejavu-serve` a wire `Lookup` runs outside the
+//!   persistence mutex (and a non-persistent daemon has none), so a lookup
+//!   now waits for a concurrent same-shard `Publish`, `CommitBatch` or
+//!   `EvictShard` to finish its apply; lookups on other shards do not.
+//!   Hit/miss/reuse counters are relaxed atomics (per shard and per entry),
+//!   so `lookup` accounts a hit under the shared read lock. Stale entries
+//!   found by a lookup are counted as misses but left in place — eviction
+//!   is deferred to the epoch TTL sweep
+//!   ([`SharedSignatureRepository::evict_stale`]).
 //! * **Batched commits.** The commit path is **transport-driven**: whichever
 //!   [`crate::transport`] backend coordinates the fleet applies an epoch's
 //!   buffered operations through [`SharedSignatureRepository::apply_batch`],
@@ -66,8 +67,8 @@
 //! fleet never reuses week-old allocations forever.
 //!
 //! The anchor store and its scan, the memo and the distance live in
-//! `anchors.rs`; shard state, counters, the published cell, batch apply and
-//! the TTL sweep in `shard.rs`; snapshot, delta and restore glue in
+//! `anchors.rs`; shard state, counters, batch apply and the TTL sweep in
+//! `shard.rs`; snapshot, delta and restore glue in
 //! `persist.rs`.
 
 mod anchors;
@@ -372,9 +373,8 @@ impl SharedSignatureRepository {
         self.advance_clock(tuned_at);
         let started = self.recorder.start();
         let shard = &self.shards[self.shard_index(namespace)];
-        let mut state = shard.write();
         shard.insert_locked(
-            &mut state,
+            &mut shard.write(),
             &self.config,
             tenant,
             namespace,
@@ -383,16 +383,14 @@ impl SharedSignatureRepository {
             allocation,
             tuned_at,
         );
-        shard.publish(&state);
         self.recorder.observe(started, |m| &m.publish_ns);
     }
 
     /// Looks up the entry matching `signature` × `interference_bucket`,
-    /// counting hit/miss and reuse statistics. Thread-safe, and never waits
-    /// for a commit in progress: it resolves against the shard's published
-    /// snapshot instead of its state lock. Statistics move through relaxed
-    /// atomics shared across snapshot generations, and a stale entry merely
-    /// misses (the epoch TTL sweep evicts it later).
+    /// counting hit/miss and reuse statistics. Thread-safe: it resolves
+    /// under the shard's read lock, so it waits only for a same-shard
+    /// writer. Statistics move through relaxed atomics, and a stale entry
+    /// merely misses (the epoch TTL sweep evicts it later).
     pub fn lookup(
         &self,
         tenant: TenantId,
@@ -404,8 +402,9 @@ impl SharedSignatureRepository {
         let started = self.recorder.start();
         let mut probes = 0u64;
         let shard = &self.shards[self.shard_index(namespace)];
-        let namespaces = shard.snapshot();
-        let entry = namespaces
+        let state = shard.read();
+        let snapshot = state
+            .namespaces
             .get(&namespace)
             .and_then(|ns| {
                 let (_, anchor) =
@@ -417,18 +416,19 @@ impl SharedSignatureRepository {
                 })
             })
             // A stale entry misses; eviction is the TTL sweep's job.
-            .filter(|entry| !self.config.is_stale(entry.tuned_at, now));
-        let snapshot = entry.map(|entry| {
-            let hits = entry.hits.fetch_add(1, Relaxed) + 1;
-            shard.counters.hits.inc();
-            let mut snapshot = entry.snapshot();
-            snapshot.hits = hits;
-            if entry.owner != tenant {
-                snapshot.cross_tenant_hits = entry.cross_tenant_hits.fetch_add(1, Relaxed) + 1;
-                shard.counters.cross_tenant_hits.inc();
-            }
-            snapshot
-        });
+            .filter(|entry| !self.config.is_stale(entry.tuned_at, now))
+            .map(|entry| {
+                let hits = entry.hits.fetch_add(1, Relaxed) + 1;
+                shard.counters.hits.inc();
+                let mut snapshot = entry.snapshot();
+                snapshot.hits = hits;
+                if entry.owner != tenant {
+                    snapshot.cross_tenant_hits = entry.cross_tenant_hits.fetch_add(1, Relaxed) + 1;
+                    shard.counters.cross_tenant_hits.inc();
+                }
+                snapshot
+            });
+        drop(state);
         self.recorder.observe(started, |m| &m.lookup_ns);
         self.recorder.with(|m| m.tree_visits.record(probes));
         if snapshot.is_none() {
@@ -440,9 +440,8 @@ impl SharedSignatureRepository {
     /// Read-only lookup for the epoch-buffered tenant views and the wire:
     /// no statistics move, entries owned by `exclude_owner` are invisible (a
     /// tenant's own entries live in its local overlay), stale entries are
-    /// filtered but not evicted. Like [`lookup`](Self::lookup) it reads the
-    /// shard's published snapshot, so an epoch's worth of concurrent tenant
-    /// reads never wait for a committer holding the shard's state lock.
+    /// filtered but not evicted. Like [`lookup`](Self::lookup) it resolves
+    /// under the shard's read lock, which concurrent readers share.
     ///
     /// Returns the entry with the `(anchor id, anchor count, distance)`
     /// witness of the resolution: a buffered [`PendingOp::RecordHit`]
@@ -475,8 +474,8 @@ impl SharedSignatureRepository {
         }
         let mut probes = 0u64;
         let tolerance = self.config.match_tolerance;
-        let namespaces = self.shards[self.shard_index(namespace)].snapshot();
-        let result = namespaces.get(&namespace).and_then(|ns| {
+        let state = self.shards[self.shard_index(namespace)].read();
+        let result = state.namespaces.get(&namespace).and_then(|ns| {
             let (distance, anchor) = match memo.as_deref_mut() {
                 Some(memo) => ns
                     .anchors
@@ -492,6 +491,7 @@ impl SharedSignatureRepository {
             }
             Some((entry.snapshot(), (anchor, ns.anchors.count(), distance)))
         });
+        drop(state);
         self.recorder.observe(started, |m| &m.peek_ns);
         self.recorder.with(|m| {
             m.tree_visits.record(probes);
@@ -532,7 +532,6 @@ impl SharedSignatureRepository {
                 applied[i] = shard.apply_locked(&mut state, &self.config, &ops[i]);
                 self.recorder.observe(started, |m| &m.publish_ns);
             }
-            shard.publish(&state);
         }
         applied
     }
@@ -543,7 +542,7 @@ impl SharedSignatureRepository {
     ///
     /// This sweep is the only place stale entries leave the store: the read
     /// path treats them as misses but does not evict, which is what lets it
-    /// run on each shard's published snapshot instead of the shard lock.
+    /// make do with the shard's shared read lock.
     pub fn evict_stale(&self, now: SimTime) -> u64 {
         self.advance_clock(now);
         let Some(ttl) = self.config.ttl else { return 0 };
@@ -564,13 +563,14 @@ impl SharedSignatureRepository {
         self.shards[shard].sweep(ttl, now)
     }
 
-    /// Total number of entries across all shards (from the published
-    /// snapshots).
+    /// Total number of entries across all shards (each read under its
+    /// shard's read lock).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {
-                s.snapshot()
+                s.read()
+                    .namespaces
                     .values()
                     .map(|ns| ns.entries.len())
                     .sum::<usize>()
@@ -584,12 +584,13 @@ impl SharedSignatureRepository {
     }
 
     /// Total number of anchors (distinct workload classes) across all shards
-    /// (from the published snapshots).
+    /// (each read under its shard's read lock).
     pub fn anchor_count(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {
-                s.snapshot()
+                s.read()
+                    .namespaces
                     .values()
                     .map(|ns| ns.anchors.count() as usize)
                     .sum::<usize>()
@@ -610,22 +611,11 @@ impl SharedSignatureRepository {
         }
         total
     }
-
-    /// Holds `shard`'s state **write** lock for the duration of `f` — a
-    /// committer stalled mid-commit, as far as readers are concerned. Test
-    /// hook for the read path: lookups and peeks against the published
-    /// snapshot must complete while `f` blocks the lock.
-    #[cfg(test)]
-    fn with_shard_exclusive<R>(&self, shard: usize, f: impl FnOnce() -> R) -> R {
-        let _guard = self.shards[shard].write();
-        f()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     pub(super) fn repo() -> SharedSignatureRepository {
         SharedSignatureRepository::new(SharedRepoConfig::default())
@@ -743,49 +733,5 @@ mod tests {
             assert_eq!(a, b);
             assert!(a < r.shard_count());
         }
-    }
-
-    #[test]
-    fn lookups_complete_while_a_committer_holds_the_write_lock() {
-        use std::sync::mpsc;
-        let r = Arc::new(SharedSignatureRepository::new(SharedRepoConfig {
-            ttl: Some(SimDuration::from_hours(24.0)),
-            ..Default::default()
-        }));
-        let sig = [100.0, 5.0, 0.3];
-        r.insert(0, 7, &sig, 0, ResourceAllocation::large(4), SimTime::ZERO);
-        let shard = r.shard_index(7);
-        let (entered_tx, entered_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let stall = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                r.with_shard_exclusive(shard, || {
-                    entered_tx.send(()).expect("test channel");
-                    release_rx.recv().expect("test channel");
-                })
-            })
-        };
-        entered_rx
-            .recv()
-            .expect("staller entered the critical section");
-        // The shard write lock is held ("committer stalled mid-commit"):
-        // the whole read surface still completes — these calls would
-        // deadlock this test if any of them took the shard lock.
-        assert!(r.lookup(1, 7, &sig, 0, SimTime::ZERO).is_some());
-        assert!(r.peek(7, &sig, 0, SimTime::ZERO, None, None).is_some());
-        let mut memo = ResolveMemo::default();
-        let (_, (anchor, _, _)) = r
-            .peek(7, &sig, 0, SimTime::ZERO, None, Some(&mut memo))
-            .expect("memoized peek hits");
-        assert_eq!(anchor, 0);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.anchor_count(), 1);
-        // The clean-shard TTL sweep skips on the watermark without ever
-        // touching the (held) write lock.
-        assert_eq!(r.evict_stale(SimTime::from_hours(1.0)), 0);
-        release_tx.send(()).expect("test channel");
-        stall.join().expect("staller thread");
-        assert_eq!(r.stats().hits, 1);
     }
 }

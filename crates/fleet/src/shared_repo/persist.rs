@@ -11,7 +11,6 @@ use dejavu_core::FlatMap;
 use dejavu_obs::Event;
 use dejavu_simcore::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
 
 /// Per-shard change cursor for incremental delta capture: remembers, per
 /// namespace, the mutation-clock stamp last checkpointed, so each
@@ -31,8 +30,9 @@ impl DeltaCursor {
     /// mutation clock has not moved. The serving layer needs this for
     /// read-path hit accounting: a wire `Lookup` bumps entry hit counters
     /// through relaxed atomics without touching the namespace's mutation
-    /// clock (reads never take the shard lock), so a durable capture that should
-    /// persist those counters must be told about the namespace explicitly.
+    /// clock (a lookup holds only the shard's read lock), so a durable
+    /// capture that should persist those counters must be told about the
+    /// namespace explicitly.
     pub fn invalidate(&mut self, namespace: u64) {
         self.seen.remove(&namespace);
     }
@@ -112,8 +112,8 @@ impl SharedSignatureRepository {
                 allocation: e.allocation,
                 tuned_at: SimTime::from_secs(e.tuned_at_secs),
                 owner: e.owner,
-                hits: Arc::new(AtomicU64::new(e.hits)),
-                cross_tenant_hits: Arc::new(AtomicU64::new(e.cross_tenant_hits)),
+                hits: AtomicU64::new(e.hits),
+                cross_tenant_hits: AtomicU64::new(e.cross_tenant_hits),
             };
             if entries.insert(key, stored).is_some() {
                 return Err(inconsistent(format!(
@@ -152,20 +152,14 @@ impl SharedSignatureRepository {
         repo.advance_clock(SimTime::from_secs(snapshot.clock_secs));
         for ns_snap in &snapshot.namespaces {
             let ns_state = Self::namespace_state_from_snapshot(ns_snap)?;
-            let shard = &repo.shards[repo.shard_index(ns_snap.id)];
-            for e in ns_state.entries.values() {
-                shard.note_tuned_at(e.tuned_at);
-            }
-            let mut state = shard.write();
-            let prior = state.namespaces.insert(ns_snap.id, Arc::new(ns_state));
+            let mut state = repo.shards[repo.shard_index(ns_snap.id)].write();
+            let prior = state.namespaces.insert(ns_snap.id, ns_state);
             if prior.is_some() {
                 return Err(inconsistent(format!("duplicate namespace {}", ns_snap.id)));
             }
         }
         for (shard, stats) in repo.shards.iter().zip(&snapshot.shard_stats) {
             shard.counters.restore(stats);
-            let state = shard.read();
-            shard.publish(&state);
         }
         Ok(repo)
     }
@@ -272,14 +266,10 @@ impl SharedSignatureRepository {
             let mut ns_state = Self::namespace_state_from_snapshot(ns_snap)?;
             state.mutation_clock += 1;
             ns_state.version = state.mutation_clock;
-            for e in ns_state.entries.values() {
-                shard.note_tuned_at(e.tuned_at);
-            }
-            state.namespaces.insert(ns_snap.id, Arc::new(ns_state));
+            state.namespaces.insert(ns_snap.id, ns_state);
         }
         shard.counters.restore(&delta.shard_stats);
         self.advance_clock(SimTime::from_secs(delta.clock_secs));
-        shard.publish(state);
         Ok(())
     }
 
@@ -313,7 +303,6 @@ impl SharedSignatureRepository {
         let mut state = shard_ref.write();
         let state = &mut *state;
         state.namespaces = FlatMap::new();
-        let mut earliest = f64::INFINITY;
         for ns_snap in &snapshot.namespaces {
             if self.shard_index(ns_snap.id) != shard {
                 continue;
@@ -321,18 +310,10 @@ impl SharedSignatureRepository {
             let mut ns_state = Self::namespace_state_from_snapshot(ns_snap)?;
             state.mutation_clock += 1;
             ns_state.version = state.mutation_clock;
-            for e in ns_state.entries.values() {
-                earliest = earliest.min(e.tuned_at.as_secs());
-            }
-            state.namespaces.insert(ns_snap.id, Arc::new(ns_state));
+            state.namespaces.insert(ns_snap.id, ns_state);
         }
-        // The wipe replaced every entry: the watermark is known exactly.
-        shard_ref
-            .earliest_tuned
-            .store(earliest.max(0.0).to_bits(), Relaxed);
         shard_ref.counters.restore(&snapshot.shard_stats[shard]);
         self.advance_clock(SimTime::from_secs(snapshot.clock_secs));
-        shard_ref.publish(state);
         Ok(())
     }
 }

@@ -1,6 +1,6 @@
-//! One lock stripe of the repository: its namespaces, its counters, the
-//! published read image, and the write paths (batch apply and TTL sweep)
-//! that run under its write lock.
+//! One lock stripe of the repository: its namespaces and counters behind
+//! one `RwLock`, and the write paths (batch apply and TTL sweep) that run
+//! under its write lock. Reads hold the read lock while they resolve.
 
 use super::anchors::AnchorSet;
 use super::{PendingOp, ShardStats, SharedEntry, SharedRepoConfig, TenantId};
@@ -9,21 +9,18 @@ use dejavu_core::FlatMap;
 use dejavu_obs::Counter;
 use dejavu_simcore::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// The stored form of an entry: reuse counters are relaxed atomics so reads
-/// can account hits against a published snapshot without the shard lock.
-/// The counters sit behind `Arc`s that copy-on-write namespace clones
-/// **share** (cloning an entry clones the `Arc`, not the count), so a hit
-/// recorded through an older published generation lands in the same counter
-/// the next capture reads — exactly as when there was one copy.
-#[derive(Debug, Clone)]
+/// The stored form of an entry: reuse counters are relaxed atomics so
+/// [`lookup`](super::SharedSignatureRepository::lookup) can account a hit
+/// while it holds only the shard's shared read lock.
+#[derive(Debug)]
 pub(super) struct StoredEntry {
     pub(super) allocation: ResourceAllocation,
     pub(super) tuned_at: SimTime,
     pub(super) owner: TenantId,
-    pub(super) hits: Arc<AtomicU64>,
-    pub(super) cross_tenant_hits: Arc<AtomicU64>,
+    pub(super) hits: AtomicU64,
+    pub(super) cross_tenant_hits: AtomicU64,
 }
 
 impl StoredEntry {
@@ -80,7 +77,7 @@ pub(super) struct EntryKey {
     pub(super) interference_bucket: u32,
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(super) struct NamespaceState {
     pub(super) anchors: AnchorSet,
     pub(super) entries: FlatMap<EntryKey, StoredEntry>,
@@ -93,12 +90,7 @@ pub(super) struct NamespaceState {
 
 #[derive(Debug, Default)]
 pub(super) struct ShardState {
-    /// Namespaces are held through `Arc`s so publishing a read snapshot is
-    /// one map-of-pointers clone; write paths mutate through
-    /// [`Arc::make_mut`], cloning a namespace only when the published
-    /// generation still references it (at most once per namespace per
-    /// publish interval).
-    pub(super) namespaces: FlatMap<u64, Arc<NamespaceState>>,
+    pub(super) namespaces: FlatMap<u64, NamespaceState>,
     /// Monotone mutation stamp source for delta capture: bumped on every
     /// namespace mutation under the write lock and **never reset** — not
     /// even when a lost shard is wiped and re-seeded — so a namespace
@@ -107,36 +99,13 @@ pub(super) struct ShardState {
     pub(super) mutation_clock: u64,
 }
 
-/// The published, read-side image of one shard: its namespace map at the
-/// last write-path publish.
-pub(super) type ReadSnapshot = FlatMap<u64, Arc<NamespaceState>>;
-
-#[derive(Debug)]
+/// One lock stripe. The lock is not re-entrant: no path may take it while
+/// already holding it, since a nested read queued behind a waiting writer
+/// never returns.
+#[derive(Debug, Default)]
 pub(super) struct Shard {
     state: RwLock<ShardState>,
     pub(super) counters: ShardCounters,
-    /// The read image, republished at the end of every write path while
-    /// the state lock is held, so outside a writer's critical section it is
-    /// always identical to `state.namespaces`. Its own lock is held only to
-    /// clone or swap the pointer, never across a resolve or a commit.
-    published: RwLock<Arc<ReadSnapshot>>,
-    /// Earliest `tuned_at` any live entry of this shard may have (IEEE bits
-    /// of a non-negative `f64`; `+inf` = provably empty). A conservative
-    /// lower bound maintained by `fetch_min` on writes and recomputed
-    /// exactly by sweeps: the TTL sweep skips the shard's write lock
-    /// entirely while `now - watermark ≤ ttl`, since no entry can be stale.
-    pub(super) earliest_tuned: AtomicU64,
-}
-
-impl Default for Shard {
-    fn default() -> Self {
-        Shard {
-            state: RwLock::new(ShardState::default()),
-            counters: ShardCounters::default(),
-            published: RwLock::new(Arc::new(FlatMap::new())),
-            earliest_tuned: AtomicU64::new(f64::INFINITY.to_bits()),
-        }
-    }
 }
 
 impl Shard {
@@ -148,33 +117,6 @@ impl Shard {
         self.state
             .write()
             .expect("shared repository shard poisoned")
-    }
-
-    /// The most recently published read image. The cell's read lock is held
-    /// only for the `Arc` clone, so a reader never waits for a commit in
-    /// progress — only, at worst, for a publisher's pointer swap.
-    pub(super) fn snapshot(&self) -> Arc<ReadSnapshot> {
-        Arc::clone(&self.published.read().expect("published cell poisoned"))
-    }
-
-    /// Republishes the shard's namespace map as the read image. Called with
-    /// the state write lock held, which serializes publishers. The map is
-    /// cloned before, and the old image dropped after, the cell's write
-    /// lock, which covers only the swap.
-    pub(super) fn publish(&self, state: &ShardState) {
-        let next = Arc::new(state.namespaces.clone());
-        let _previous = std::mem::replace(
-            &mut *self.published.write().expect("published cell poisoned"),
-            next,
-        );
-    }
-
-    /// Lowers the earliest-expiry watermark to cover an entry tuned at
-    /// `tuned_at` (non-negative `f64` bits order like the floats, so
-    /// integer `fetch_min` is a numeric min).
-    pub(super) fn note_tuned_at(&self, tuned_at: SimTime) {
-        self.earliest_tuned
-            .fetch_min(tuned_at.as_secs().max(0.0).to_bits(), Relaxed);
     }
 
     /// Writes one allocation decision into `state` (this shard's, write
@@ -193,11 +135,9 @@ impl Shard {
     ) {
         state.mutation_clock += 1;
         let stamp = state.mutation_clock;
-        let ns = Arc::make_mut(
-            state
-                .namespaces
-                .get_mut_or_insert_with(namespace, || Arc::new(NamespaceState::default())),
-        );
+        let ns = state
+            .namespaces
+            .get_mut_or_insert_with(namespace, NamespaceState::default);
         ns.version = stamp;
         let tolerance = config.match_tolerance;
         let anchor = match ns.anchors.resolve(signature, tolerance, &mut 0) {
@@ -228,15 +168,12 @@ impl Shard {
                         allocation,
                         tuned_at,
                         owner: tenant,
-                        hits: Arc::new(AtomicU64::new(0)),
-                        cross_tenant_hits: Arc::new(AtomicU64::new(0)),
+                        hits: AtomicU64::new(0),
+                        cross_tenant_hits: AtomicU64::new(0),
                     },
                 );
             }
         }
-        // `tuned_at` lower-bounds the written entry's final tuning time, so
-        // the watermark stays a conservative earliest-expiry bound.
-        self.note_tuned_at(tuned_at);
         self.counters.insertions.inc();
     }
 
@@ -282,7 +219,6 @@ impl Shard {
                 let Some(ns) = state.namespaces.get_mut(namespace) else {
                     return false;
                 };
-                let ns = Arc::make_mut(ns);
                 // Reuse the peek-time resolution: only an anchor created
                 // since the peek can displace it.
                 let tolerance = config.match_tolerance;
@@ -326,52 +262,21 @@ impl Shard {
     /// Removes every entry of this shard tuned more than `ttl` before `now`
     /// and returns how many went.
     pub(super) fn sweep(&self, ttl: SimDuration, now: SimTime) -> u64 {
-        // Clean-shard fast path: the watermark lower-bounds every live
-        // entry's `tuned_at`, so while even the watermark is within TTL the
-        // sweep provably evicts nothing — skip the write lock entirely.
-        // (`+inf` marks a shard with no entries at all.) Bit-identical to
-        // always sweeping: a skipped sweep evicts 0 and mutates nothing,
-        // exactly what the full pass would have done.
-        let watermark = f64::from_bits(self.earliest_tuned.load(Relaxed));
-        if !watermark.is_finite()
-            || now
-                .saturating_since(SimTime::from_secs(watermark))
-                .as_secs()
-                <= ttl.as_secs()
-        {
-            return 0;
-        }
         let mut state = self.write();
         let state = &mut *state;
         let mut evicted = 0u64;
-        let mut earliest = f64::INFINITY;
         let stale = |e: &StoredEntry| now.saturating_since(e.tuned_at).as_secs() > ttl.as_secs();
         for ns in state.namespaces.values_mut() {
-            // Copy-on-write discipline: only namespaces that actually lose
-            // an entry are cloned away from the published generation.
-            if ns.entries.values().any(stale) {
-                let ns = Arc::make_mut(ns);
-                let before = ns.entries.len();
-                ns.entries.retain(|_, e| !stale(e));
-                let gone = (before - ns.entries.len()) as u64;
-                if gone > 0 {
-                    state.mutation_clock += 1;
-                    ns.version = state.mutation_clock;
-                }
-                evicted += gone;
+            let before = ns.entries.len();
+            ns.entries.retain(|_, e| !stale(e));
+            let gone = (before - ns.entries.len()) as u64;
+            if gone > 0 {
+                state.mutation_clock += 1;
+                ns.version = state.mutation_clock;
             }
-            for e in ns.entries.values() {
-                earliest = earliest.min(e.tuned_at.as_secs());
-            }
+            evicted += gone;
         }
-        // The sweep visited every entry anyway: reset the watermark to the
-        // exact minimum so monotone `fetch_min` drift can't accrete.
-        self.earliest_tuned
-            .store(earliest.max(0.0).to_bits(), Relaxed);
         self.counters.evictions.add(evicted);
-        if evicted > 0 {
-            self.publish(state);
-        }
         evicted
     }
 }
@@ -512,33 +417,5 @@ mod tests {
         assert_eq!(sequential.len(), batched.len());
         assert_eq!(sequential.anchor_count(), batched.anchor_count());
         assert_eq!(sequential.stats(), batched.stats());
-    }
-
-    #[test]
-    fn sweep_watermark_tracks_eviction_counts_bit_identically() {
-        // Two repositories driven identically; one's sweeps are forced past
-        // the watermark fast path by a deliberately early entry. Counts and
-        // state must match at every step.
-        let config = SharedRepoConfig {
-            ttl: Some(SimDuration::from_hours(10.0)),
-            ..Default::default()
-        };
-        let a = SharedSignatureRepository::new(config.clone());
-        let b = SharedSignatureRepository::new(config);
-        let sig = [10.0, 20.0];
-        for (hour, ns) in [(0.0, 1u64), (4.0, 2), (8.0, 3), (12.0, 4)] {
-            let t = SimTime::from_hours(hour);
-            a.insert(0, ns, &sig, 0, ResourceAllocation::large(2), t);
-            b.insert(0, ns, &sig, 0, ResourceAllocation::large(2), t);
-            let now = SimTime::from_hours(hour + 1.0);
-            assert_eq!(a.evict_stale(now), b.evict_stale(now));
-        }
-        for hour in [11.0, 15.0, 19.0, 23.0, 40.0] {
-            let now = SimTime::from_hours(hour);
-            assert_eq!(a.evict_stale(now), b.evict_stale(now), "at {hour}h");
-            assert_eq!(a.len(), b.len());
-            assert_eq!(a.stats().evictions, b.stats().evictions);
-        }
-        assert!(a.is_empty());
     }
 }

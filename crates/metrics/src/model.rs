@@ -259,15 +259,6 @@ impl MetricModel {
             .max(0.0)
     }
 
-    /// Expected per-second rates for every metric in the catalogue, in id order.
-    pub fn expected_rates(&self, point: &WorkloadPoint) -> Vec<f64> {
-        self.catalog
-            .descriptors()
-            .iter()
-            .map(|d| self.expected_rate(d.id, point))
-            .collect()
-    }
-
     /// Relative noise of metric `id` for the given service.
     pub fn relative_noise(&self, id: MetricId, service: ServiceKind) -> f64 {
         self.response(id, service).relative_noise
@@ -339,7 +330,11 @@ mod tests {
             for intensity in [0.0, 0.3, 0.7, 1.0, 1.4] {
                 for read in [0.0, 0.5, 1.0] {
                     let p = WorkloadPoint::new(service, intensity, read);
-                    assert!(model.expected_rates(&p).iter().all(|&r| r >= 0.0));
+                    assert!(model
+                        .catalog
+                        .descriptors()
+                        .iter()
+                        .all(|d| model.expected_rate(d.id, &p) >= 0.0));
                 }
             }
         }

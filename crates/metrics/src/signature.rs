@@ -130,14 +130,6 @@ impl WorkloadSignature {
         self.sampling
     }
 
-    /// The normalized value of the metric called `name`, if present.
-    pub fn value_of(&self, name: &str) -> Option<f64> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.values[i])
-    }
-
     /// Returns a signature containing only the metrics at `indices`
     /// (in the given order) — used after feature selection.
     ///
@@ -223,8 +215,6 @@ mod tests {
             vec![10.0, 20.0, 30.0],
             SimDuration::from_secs(1.0),
         );
-        assert_eq!(s.value_of("b"), Some(20.0));
-        assert_eq!(s.value_of("zzz"), None);
         let p = s.project(&[2, 0]);
         assert_eq!(p.names(), &["c".to_string(), "a".to_string()]);
         assert_eq!(p.values(), &[30.0, 10.0]);

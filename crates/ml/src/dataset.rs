@@ -129,11 +129,6 @@ impl Dataset {
             .unwrap_or(0)
     }
 
-    /// Returns true if every instance carries a label.
-    pub fn is_fully_labeled(&self) -> bool {
-        !self.instances.is_empty() && self.instances.iter().all(|i| i.label.is_some())
-    }
-
     /// The values of attribute `attr` across all instances.
     ///
     /// # Panics
@@ -321,7 +316,6 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert_eq!(d.num_attributes(), 2);
         assert_eq!(d.num_classes(), 2);
-        assert!(d.is_fully_labeled());
         assert_eq!(d.column(0), vec![1.0, 3.0, 5.0]);
         assert_eq!(d.labels().unwrap(), vec![0, 1, 1]);
     }
@@ -344,7 +338,6 @@ mod tests {
         let mut d = Dataset::new(vec!["a".into()]);
         d.push_unlabeled(vec![1.0]);
         assert_eq!(d.num_classes(), 0);
-        assert!(!d.is_fully_labeled());
         assert_eq!(d.labels(), Err(MlError::MissingLabels));
     }
 

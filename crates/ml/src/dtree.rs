@@ -235,17 +235,6 @@ impl DecisionTree {
         d(&self.root)
     }
 
-    /// Number of leaves.
-    pub fn num_leaves(&self) -> usize {
-        fn c(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => c(left) + c(right),
-            }
-        }
-        c(&self.root)
-    }
-
     fn leaf_for(&self, features: &[f64]) -> &Node {
         assert_eq!(
             features.len(),
@@ -403,7 +392,6 @@ mod tests {
         )
         .unwrap();
         assert!(tree.depth() <= 1);
-        assert!(tree.num_leaves() <= 2);
     }
 
     #[test]
@@ -413,7 +401,7 @@ mod tests {
             d.push_labeled(vec![i as f64], 0);
         }
         let tree = DecisionTree::fit(&d, &DecisionTreeConfig::default()).unwrap();
-        assert_eq!(tree.num_leaves(), 1);
+        assert_eq!(tree.depth(), 0);
         assert_eq!(tree.predict(&[100.0]), 0);
     }
 

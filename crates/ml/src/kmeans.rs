@@ -513,11 +513,6 @@ impl KMeans {
         Self::nearest(&self.centroids, point).0
     }
 
-    /// Distance from `point` to its nearest centroid.
-    pub fn distance_to_nearest(&self, point: &[f64]) -> f64 {
-        Self::nearest(&self.centroids, point).1.sqrt()
-    }
-
     /// Nearest centroid and the distance to it in one pass — the cache-lookup
     /// hot path of the online classifier, which needs both.
     pub fn assign_with_distance(&self, point: &[f64]) -> (usize, f64) {
@@ -934,7 +929,7 @@ mod tests {
             8,
         )
         .unwrap();
-        assert!(km.distance_to_nearest(&[5.0, 5.0]) < 1.0);
+        assert!(km.assign_with_distance(&[5.0, 5.0]).1 < 1.0);
     }
 
     #[test]

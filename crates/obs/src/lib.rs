@@ -204,18 +204,6 @@ impl LogHistogram {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-
-    /// Non-empty buckets as `(bucket lower bound, count)`, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(index, bucket)| {
-                let count = bucket.load(Relaxed);
-                (count > 0).then_some((bucket_floor(index), count))
-            })
-            .collect()
-    }
 }
 
 /// An exact histogram over a small non-negative integer domain: bucket `i`
@@ -759,7 +747,6 @@ mod tests {
         assert_eq!(h.p50(), 512);
         assert_eq!(h.p99(), 512);
         assert_eq!(h.max(), 1000);
-        assert_eq!(h.nonzero_buckets(), vec![(512, 1)]);
     }
 
     #[test]

@@ -40,17 +40,6 @@ pub struct DuplicatorStats {
     pub sessions_sampled: u64,
 }
 
-impl DuplicatorStats {
-    /// Fraction of requests that were duplicated.
-    pub fn duplication_fraction(&self) -> f64 {
-        if self.total_requests == 0 {
-            0.0
-        } else {
-            self.duplicated_requests as f64 / self.total_requests as f64
-        }
-    }
-}
-
 /// The request duplicator.
 ///
 /// Sampling is decided per *session* (a deterministic hash of the session id),
@@ -190,7 +179,6 @@ mod tests {
         assert_eq!(stats.total_requests, 10);
         assert_eq!(stats.duplicated_requests, 10);
         assert_eq!(stats.sessions_seen, 2);
-        assert!((stats.duplication_fraction() - 1.0).abs() < 1e-12);
     }
 
     #[test]

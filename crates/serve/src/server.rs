@@ -1,9 +1,9 @@
 //! The dejavu-serve daemon: hosts one [`SharedSignatureRepository`] behind
 //! the wire protocol, over TCP or a Unix socket.
 //!
-//! One OS thread per connection — the repository's reads resolve against a
-//! published snapshot without the shard's state lock, so concurrent
-//! sessions scale with cores rather than serializing on a shard lock, and a thread blocked in `read` costs nothing. Each
+//! One OS thread per connection — the repository's reads share each
+//! shard's read lock, so concurrent lookups scale with cores and wait only
+//! for a same-shard write, and a thread blocked in `read` costs nothing. Each
 //! connection must open with [`Request::Hello`]; admission control caps
 //! live sessions at [`ServeConfig::max_sessions`] and refuses the rest with
 //! a [`Response::Denied`] frame instead of a hang. Per-tenant usage

@@ -132,14 +132,6 @@ impl RubisService {
             slo_latency_ms: 100.0,
         }
     }
-
-    /// Creates the service with a bidding-heavy mix.
-    pub fn bidding_heavy() -> Self {
-        RubisService {
-            mix: InteractionMix::bidding(),
-            ..RubisService::default_browsing()
-        }
-    }
 }
 
 impl ServiceModel for RubisService {
@@ -189,7 +181,10 @@ mod tests {
     #[test]
     fn bidding_service_needs_more_capacity() {
         let browse = RubisService::default_browsing();
-        let bid = RubisService::bidding_heavy();
+        let bid = RubisService {
+            mix: InteractionMix::bidding(),
+            ..RubisService::default_browsing()
+        };
         assert!(bid.required_capacity(0.8) >= browse.required_capacity(0.8));
     }
 

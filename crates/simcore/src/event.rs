@@ -95,11 +95,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Returns the firing time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
     /// Returns the current simulated time (the firing time of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
@@ -167,15 +162,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_len_clear() {
+    fn len_and_clear() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.schedule(SimTime::from_secs(4.0), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(4.0)));
         assert_eq!(q.len(), 1);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

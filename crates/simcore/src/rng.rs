@@ -155,16 +155,6 @@ impl SimRng {
         n - 1
     }
 
-    /// Bernoulli sample with probability `p` of returning `true`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        self.uniform01() < p
-    }
-
     /// Returns a uniformly chosen element of `items`, or `None` if it is empty.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
         if items.is_empty() {
@@ -253,13 +243,6 @@ mod tests {
         }
         assert!(counts[0] > counts[5]);
         assert!(counts[0] > counts[9]);
-    }
-
-    #[test]
-    fn bernoulli_probability() {
-        let mut rng = SimRng::seed_from_u64(8);
-        let hits = (0..10_000).filter(|_| rng.bernoulli(0.25)).count();
-        assert!((hits as f64 / 10_000.0 - 0.25).abs() < 0.02);
     }
 
     #[test]

@@ -151,14 +151,6 @@ impl OnlineStats {
         Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
     }
 
-    /// Fraction of samples for which `pred` holds, or 0.0 if empty.
-    pub fn fraction_where<F: Fn(f64) -> bool>(&self, pred: F) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().filter(|&&x| pred(x)).count() as f64 / self.samples.len() as f64
-    }
-
     /// Access to the raw recorded samples (in insertion order).
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -254,17 +246,6 @@ impl Histogram {
         self.buckets[i]
     }
 
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// The `[lo, hi)` range of bucket `i`.
-    pub fn bucket_range(&self, i: usize) -> (f64, f64) {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        (self.lo + width * i as f64, self.lo + width * (i + 1) as f64)
-    }
-
     /// Samples below the histogram range.
     pub fn underflow(&self) -> u64 {
         self.underflow
@@ -301,7 +282,6 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.percentile(50.0), None);
-        assert_eq!(s.fraction_where(|_| true), 0.0);
     }
 
     #[test]
@@ -313,12 +293,6 @@ mod tests {
         assert!((p50 - 50.5).abs() < 1e-9, "p50 {p50}");
         let p95 = s.percentile(95.0).unwrap();
         assert!((95.0..=96.0).contains(&p95), "p95 {p95}");
-    }
-
-    #[test]
-    fn fraction_where_counts_correctly() {
-        let s: OnlineStats = (1..=10).map(|x| x as f64).collect();
-        assert!((s.fraction_where(|x| x > 5.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -359,9 +333,6 @@ mod tests {
         assert_eq!(h.bucket_count(4), 1); // 9.9
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
-        assert_eq!(h.num_buckets(), 5);
-        let (lo, hi) = h.bucket_range(1);
-        assert!((lo - 2.0).abs() < 1e-12 && (hi - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -25,12 +25,19 @@ pub fn cases(n: u64, mut body: impl FnMut(&mut SimRng, u64)) {
     }
 }
 
-/// Generates a random fleet scenario: 3–7 tenants drawn from the scenario
+/// Generates a random fleet scenario: 1–10 tenants drawn from the scenario
 /// families (diurnal / spike / sine / interference / SPECweb mixes — i.e.
 /// several namespaces, hence several shards, with skewed tenant counts),
 /// random observation ticks, and random churn windows (staggered arrivals,
 /// a mid-run departure).
 pub fn fuzz_scenario(rng: &mut SimRng, case: u64) -> Scenario {
+    fuzz_scenario_grown(rng, case, 0)
+}
+
+/// [`fuzz_scenario`] with `extra_diurnal` more diurnal tenants appended,
+/// present from the start: past 16 tenants the barrier deals its blocks to
+/// more than one worker.
+pub fn fuzz_scenario_grown(rng: &mut SimRng, case: u64, extra_diurnal: usize) -> Scenario {
     let days = 1 + rng.uniform_usize(2);
     let tick = [600.0, 900.0, 1200.0][rng.uniform_usize(3)];
     let mut builder = ScenarioBuilder::new(format!("fuzz-{case}"), D_SEED ^ (case << 8), days)
@@ -75,7 +82,7 @@ pub fn fuzz_scenario(rng: &mut SimRng, case: u64) -> Scenario {
             SimDuration::from_hours(6.0 + rng.uniform(0.0, 18.0)),
         );
     }
-    builder.build()
+    builder.diurnal_fleet(extra_diurnal).build()
 }
 
 /// Random repository configuration: shard counts from the degenerate 1 up

@@ -16,8 +16,11 @@
 //!
 //! Invariants pinned, per fuzzed scenario:
 //!
-//! * **Bit-match.** BSP and `WorkStealing` at one worker per tenant
-//!   and at thread caps 1/2/4 produce byte-identical reports — every per-tenant
+//! * **Bit-match.** BSP at 1 worker and `WorkStealing` at one worker per
+//!   tenant and at thread caps 1/2/4 produce byte-identical reports, and so
+//!   does BSP at 2 and 4 workers on the two fuzzed cases in six that exceed
+//!   one 16-tenant barrier block (so several barrier workers read one
+//!   shard; below that the barrier clamps to one worker) — every per-tenant
 //!   result, the hit-rate curve, and the shared repository's entry/anchor
 //!   counts and statistics (hits, misses, insertions, **evictions** — the
 //!   eviction equality is what pins the frontier-aware per-shard TTL sweep).
@@ -44,7 +47,9 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 mod common;
-use common::{assert_reports_bit_match, cases, fuzz_repo, fuzz_scenario, THREAD_CAPS};
+use common::{
+    assert_reports_bit_match, cases, fuzz_repo, fuzz_scenario, fuzz_scenario_grown, THREAD_CAPS,
+};
 
 fn run(scenario: &Scenario, repo: &SharedRepoConfig, transport: TransportConfig) -> FleetReport {
     FleetEngine::new(
@@ -107,10 +112,42 @@ fn assert_transport_family_matches(
 #[test]
 fn fuzzed_scenarios_bit_match_across_transports_at_zero_staleness() {
     cases(6, |rng, case| {
-        let scenario = fuzz_scenario(rng, case);
+        // Two cases in six append 17–40 diurnal tenants: the barrier deals
+        // one worker per 16-tenant block, so only these put several barrier
+        // workers on one shard's reads at once.
+        let extra_diurnal = if case % 3 == 1 {
+            17 + rng.uniform_usize(24)
+        } else {
+            0
+        };
+        let scenario = fuzz_scenario_grown(rng, case, extra_diurnal);
         let repo = fuzz_repo(rng);
-        let bsp = run(&scenario, &repo, TransportConfig::Bsp);
+        let barrier = |workers: usize| {
+            let recorder = Recorder::enabled();
+            let report = FleetEngine::new(
+                scenario.clone(),
+                FleetConfig {
+                    repo: repo.clone(),
+                    workers,
+                    recorder: recorder.clone(),
+                    ..Default::default()
+                },
+            )
+            .run();
+            let dealt = recorder.metrics().expect("enabled").barrier_workers.get();
+            let blocks = scenario.tenants.len().div_ceil(16);
+            assert_eq!(dealt, workers.min(blocks) as u64, "case {case}");
+            report
+        };
+        let bsp = barrier(1);
         assert_eq!(bsp.epochs, scenario.horizon_epochs(), "case {case}");
+        // With one block, 2 and 4 workers clamp to the 1-worker run.
+        if scenario.tenants.len().div_ceil(16) > 1 {
+            for workers in [2, 4] {
+                let label = format!("case {case} barrier {workers}W");
+                assert_reports_bit_match(&bsp, &barrier(workers), &label);
+            }
+        }
         assert_transport_family_matches(
             &bsp,
             &scenario,

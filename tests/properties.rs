@@ -727,44 +727,87 @@ fn anchor_resolution_ties_break_toward_lowest_id() {
     assert_eq!(peeked_anchor(&repo, 1, &[3.0]), Some(0));
 }
 
-/// The read path is genuinely read-only: concurrent lookups and peeks from
-/// many threads resolve against the shard's published snapshot without
-/// taking its state lock, and the relaxed-atomic statistics lose no
-/// updates. (Before the read-only read path, every lookup took the shard
-/// write lock and serialized all readers.)
+/// Same-shard readers against a committer: many threads look up and peek
+/// one entry while another thread commits `apply_batch` batches into the
+/// same namespace. Reads hold the shard's read lock and the committer its
+/// write lock, so every read waits at most for one batch; the relaxed-atomic
+/// statistics lose no updates from either side. A barrier starts all of
+/// them together; a watchdog fails the test instead of hanging it if any
+/// path took the shard lock twice.
 #[test]
 fn concurrent_lookups_and_peeks_lose_no_statistics() {
-    let repo = SharedSignatureRepository::new(SharedRepoConfig::default());
+    use dejavu::fleet::PendingOp;
+    const THREADS: usize = 8;
+    const PER_THREAD: usize = 500;
+    const BATCHES: usize = 50;
     let sig = [100.0, 5.0, 0.3];
-    repo.insert(0, 1, &sig, 0, ResourceAllocation::large(4), SimTime::ZERO);
-    let threads = 8;
-    let per_thread = 500;
-    std::thread::scope(|scope| {
-        for t in 1..=threads {
-            let repo = &repo;
-            let sig = &sig;
-            scope.spawn(move || {
-                for i in 0..per_thread {
-                    let hit = repo
-                        .lookup(t, 1, sig, 0, SimTime::ZERO)
-                        .expect("entry stays visible under concurrency");
-                    assert!(hit.hits > 0);
-                    // Peeks interleave with the lookups on the same shard;
-                    // they must see the entry and move no statistics.
-                    if i % 3 == 0 {
-                        assert!(repo
-                            .peek(1, sig, 0, SimTime::ZERO, Some(99), None)
-                            .is_some());
+    let (done, outcome) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let repo = SharedSignatureRepository::new(SharedRepoConfig::default());
+        repo.insert(0, 1, &sig, 0, ResourceAllocation::large(4), SimTime::ZERO);
+        let start = std::sync::Barrier::new(THREADS + 1);
+        std::thread::scope(|scope| {
+            for t in 1..=THREADS {
+                let (repo, start) = (&repo, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        let hit = repo
+                            .lookup(t, 1, &sig, 0, SimTime::ZERO)
+                            .expect("entry stays visible under concurrency");
+                        assert!(hit.hits > 0);
+                        // Peeks interleave with the lookups on the same
+                        // shard; they must see the entry and move no
+                        // statistics.
+                        if i % 3 == 0 {
+                            assert!(repo
+                                .peek(1, &sig, 0, SimTime::ZERO, Some(99), None)
+                                .is_some());
+                        }
                     }
+                });
+            }
+            let (repo, start) = (&repo, &start);
+            scope.spawn(move || {
+                start.wait();
+                for b in 0..BATCHES {
+                    // Each publish lies a factor of 4 away from every other
+                    // anchor in one dimension, so it creates a new anchor and
+                    // never displaces the readers' exact match.
+                    let far = vec![100.0 * 4f64.powi(b as i32 + 1), 5.0, 0.3];
+                    let batch = [
+                        PendingOp::Publish {
+                            tenant: THREADS + 1,
+                            namespace: 1,
+                            signature: far,
+                            interference_bucket: 0,
+                            allocation: ResourceAllocation::large(2),
+                            tuned_at: SimTime::ZERO,
+                        },
+                        PendingOp::RecordHit {
+                            tenant: THREADS + 1,
+                            namespace: 1,
+                            signature: sig.to_vec(),
+                            interference_bucket: 0,
+                            resolved: None,
+                        },
+                        PendingOp::RecordMiss { namespace: 1 },
+                    ];
+                    assert_eq!(repo.apply_batch(&batch), [true; 3]);
                 }
             });
-        }
+        });
+        let _ = done.send((repo.stats(), repo.anchor_count()));
     });
-    let stats = repo.stats();
-    let expected = (threads * per_thread) as u64;
-    assert_eq!(stats.hits, expected, "relaxed counters must not lose hits");
-    assert_eq!(stats.cross_tenant_hits, expected);
-    assert_eq!(stats.misses, 0);
+    let (stats, anchors) = outcome
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("readers and the committer finish (a panic or a re-entered shard lock ends here)");
+    runner.join().expect("the runner already sent its result");
+    let hits = (THREADS * PER_THREAD + BATCHES) as u64;
+    assert_eq!(stats.hits, hits, "relaxed counters must not lose hits");
+    assert_eq!(stats.cross_tenant_hits, hits);
+    assert_eq!(stats.misses, BATCHES as u64);
+    assert_eq!(anchors, BATCHES + 1);
 }
 
 /// Snapshot round-trip: after an arbitrary operation sequence, saving and
